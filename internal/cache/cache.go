@@ -12,11 +12,10 @@ import (
 	"mellow/internal/config"
 )
 
-// Line state bits in the flags array.
+// Line state bits in the flags array. An invalid slot has no bits set.
 const (
-	flagValid      = 1 << iota
-	flagDirty      // holds data memory has not seen
-	flagEagerClean // cleaned by an eager mellow write-back, not re-dirtied yet
+	flagDirty      = 1 << iota // holds data memory has not seen
+	flagEagerClean             // cleaned by an eager mellow write-back, not re-dirtied yet
 )
 
 // Cache is one cache level. Lines live in flat struct-of-arrays storage:
@@ -26,18 +25,19 @@ const (
 // entries instead of reordering a slice of 32-byte structs, and the whole
 // level is three allocations instead of one per set.
 //
-// Lines store the full line address (byte address >> 6) rather than a
-// set-relative tag; comparisons are equally cheap and reverse mapping for
-// eager write-back is free.
+// Lines store the full line address (byte address >> 6) plus one rather
+// than a set-relative tag: a zeroed slot is invalid, so find makes one
+// compare per way, a fresh level needs no fill, and reverse mapping for
+// eager write-back is one subtraction.
 type Cache struct {
 	cfg     config.Cache
 	ways    int
 	nsets   int
 	setMask uint64
 
-	addrs []uint64 // line address per slot
+	tags  []uint64 // line address + 1 per slot; 0 marks an invalid slot
 	last  []uint64 // access-clock value at last demand use, per slot
-	flags []uint8  // flagValid | flagDirty | flagEagerClean, per slot
+	flags []uint8  // flagDirty | flagEagerClean, per slot
 
 	hits     uint64
 	misses   uint64
@@ -58,7 +58,7 @@ func New(cfg config.Cache) *Cache {
 		ways:    cfg.Ways,
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
-		addrs:   make([]uint64, n),
+		tags:    make([]uint64, n),
 		last:    make([]uint64, n),
 		flags:   make([]uint8, n),
 	}
@@ -69,10 +69,11 @@ func (c *Cache) base(addr uint64) int { return int(addr&c.setMask) * c.ways }
 
 // find returns the stack position holding addr within the set at base,
 // or -1. This is the hottest loop in the simulator; it reads only the
-// two small per-set array stripes.
+// set's tag stripe, one compare per way.
 func (c *Cache) find(base int, addr uint64) int {
-	for i := 0; i < c.ways; i++ {
-		if c.addrs[base+i] == addr && c.flags[base+i]&flagValid != 0 {
+	tag := addr + 1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == tag {
 			return i
 		}
 	}
@@ -81,20 +82,19 @@ func (c *Cache) find(base int, addr uint64) int {
 
 // touch moves the line at stack position i of the set at base to MRU.
 func (c *Cache) touch(base, i int) {
-	a, la, f := c.addrs[base+i], c.last[base+i], c.flags[base+i]
-	copy(c.addrs[base+1:base+i+1], c.addrs[base:base+i])
-	copy(c.last[base+1:base+i+1], c.last[base:base+i])
-	copy(c.flags[base+1:base+i+1], c.flags[base:base+i])
-	c.addrs[base], c.last[base], c.flags[base] = a, la, f
+	c.shiftIn(base, i, c.tags[base+i], c.last[base+i], c.flags[base+i])
 }
 
 // shiftIn pushes positions [0,i) of the set at base down one and writes
-// the new line at MRU.
-func (c *Cache) shiftIn(base, i int, addr, last uint64, flags uint8) {
-	copy(c.addrs[base+1:base+i+1], c.addrs[base:base+i])
-	copy(c.last[base+1:base+i+1], c.last[base:base+i])
-	copy(c.flags[base+1:base+i+1], c.flags[base:base+i])
-	c.addrs[base], c.last[base], c.flags[base] = addr, last, flags
+// the line (tag, last, flags) at MRU. The three stripes move in one loop:
+// sets are a few ways deep, so this beats three memmove calls.
+func (c *Cache) shiftIn(base, i int, tag, last uint64, flags uint8) {
+	ts := c.tags[base : base+i+1]
+	ls, fs := c.last[base:base+len(ts)], c.flags[base:base+len(ts)]
+	for j := len(ts) - 1; j > 0; j-- {
+		ts[j], ls[j], fs[j] = ts[j-1], ls[j-1], fs[j-1]
+	}
+	ts[0], ls[0], fs[0] = tag, last, flags
 }
 
 // Ways returns the associativity.
@@ -131,7 +131,9 @@ func (c *Cache) lookup(addr uint64, write bool) (hit, wasEagerClean bool) {
 	if c.profiler != nil {
 		c.profiler.hit[i]++
 	}
-	c.touch(base, i)
+	if i != 0 {
+		c.touch(base, i)
+	}
 	c.touches++
 	c.last[base] = c.touches
 	if write {
@@ -147,22 +149,22 @@ func (c *Cache) lookup(addr uint64, write bool) (hit, wasEagerClean bool) {
 func (c *Cache) install(addr uint64, dirty bool) (victimAddr uint64, victimValid, victimDirty bool) {
 	c.fills++
 	c.touches++
-	f := uint8(flagValid)
+	var f uint8
 	if dirty {
-		f |= flagDirty
+		f = flagDirty
 	}
 	base := c.base(addr)
 	// Prefer filling an invalid way; the LRU-most invalid way is as good
 	// as any.
 	for i := c.ways - 1; i >= 0; i-- {
-		if c.flags[base+i]&flagValid == 0 {
-			c.shiftIn(base, i, addr, c.touches, f)
+		if c.tags[base+i] == 0 {
+			c.shiftIn(base, i, addr+1, c.touches, f)
 			return 0, false, false
 		}
 	}
-	victimAddr = c.addrs[base+c.ways-1]
+	victimAddr = c.tags[base+c.ways-1] - 1
 	victimDirty = c.flags[base+c.ways-1]&flagDirty != 0
-	c.shiftIn(base, c.ways-1, addr, c.touches, f)
+	c.shiftIn(base, c.ways-1, addr+1, c.touches, f)
 	c.evicts++
 	if victimDirty {
 		c.dirtyEv++
@@ -193,7 +195,7 @@ func (c *Cache) invalidate(addr uint64) (present, dirty bool) {
 		return false, false
 	}
 	dirty = c.flags[base+i]&flagDirty != 0
-	c.addrs[base+i], c.last[base+i], c.flags[base+i] = 0, 0, 0
+	c.tags[base+i], c.last[base+i], c.flags[base+i] = 0, 0, 0
 	return true, dirty
 }
 
@@ -210,7 +212,7 @@ func (c *Cache) ResetStats() {
 func (c *Cache) DirtyLines() int {
 	n := 0
 	for _, f := range c.flags {
-		if f&(flagValid|flagDirty) == flagValid|flagDirty {
+		if f&flagDirty != 0 {
 			n++
 		}
 	}

@@ -23,7 +23,7 @@ func (c *Cache) EagerCandidateDecay(src *rng.Source, threshold uint64) (addr uin
 	best := -1
 	var bestAge uint64
 	for i := 0; i < c.ways; i++ {
-		if c.flags[base+i]&(flagValid|flagDirty) != flagValid|flagDirty {
+		if c.flags[base+i]&flagDirty == 0 {
 			continue
 		}
 		age := c.touches - c.last[base+i]
@@ -35,7 +35,7 @@ func (c *Cache) EagerCandidateDecay(src *rng.Source, threshold uint64) (addr uin
 		return 0, false
 	}
 	c.flags[base+best] = c.flags[base+best]&^flagDirty | flagEagerClean
-	return c.addrs[base+best], true
+	return c.tags[base+best] - 1, true
 }
 
 // Touches returns the cache's logical access clock (tests).

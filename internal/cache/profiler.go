@@ -88,9 +88,9 @@ func (c *Cache) EagerCandidate(src *rng.Source) (addr uint64, ok bool) {
 	base := int(src.Uintn(uint64(c.nsets))) * c.ways
 	for i := c.ways - 1; i >= p.eagerPos; i-- {
 		f := c.flags[base+i]
-		if f&(flagValid|flagDirty) == flagValid|flagDirty {
+		if f&flagDirty != 0 {
 			c.flags[base+i] = f&^flagDirty | flagEagerClean
-			return c.addrs[base+i], true
+			return c.tags[base+i] - 1, true
 		}
 	}
 	return 0, false

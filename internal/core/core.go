@@ -64,20 +64,38 @@ func NewSystem(cfg config.Config, spec policy.Spec, w trace.Workload) (*System, 
 	gen := w.New(cfg.Run.Seed)
 	core := cpu.New(cfg, hier, ctl, gen)
 
-	// The LLC's useless-position profiler rotates every T_sample
-	// (§IV-B1), driven by the memory clock.
-	var rotate sim.Event
-	rotate = func(sim.Tick) {
-		hier.RotateProfile()
-		k.After(cfg.Caches.ProfilePeriod, rotate)
-	}
-	k.After(cfg.Caches.ProfilePeriod, rotate)
+	startProfileRotation(k, cfg.Caches.ProfilePeriod, hier)
 
 	return &System{
 		Cfg: cfg, Spec: spec, Kernel: k,
 		Hier: hier, Ctl: ctl, Core: core,
 		workload: w,
 	}, nil
+}
+
+// profileRotor rotates LLC useless-position profilers every T_sample
+// (§IV-B1), driven by the memory clock. The rotation is housekeeping,
+// not outstanding work, so it re-arms itself as a daemon event: it keeps
+// ticking while the simulation runs but never keeps Kernel.Drain alive.
+// Daemon events share the kernel's (tick, seq) stream, so results are
+// the same as with an ordinary self-rescheduling event.
+type profileRotor struct {
+	k      *sim.Kernel
+	period sim.Tick
+	hiers  []*cache.Hierarchy
+}
+
+func startProfileRotation(k *sim.Kernel, period sim.Tick, hiers ...*cache.Hierarchy) {
+	r := &profileRotor{k: k, period: period, hiers: hiers}
+	k.AfterDaemonEvent(period, r, 0, 0)
+}
+
+// OnEvent closes one profiling period on every hierarchy (sim.Handler).
+func (r *profileRotor) OnEvent(sim.Tick, uint64, uint64) {
+	for _, h := range r.hiers {
+		h.RotateProfile()
+	}
+	r.k.AfterDaemonEvent(r.period, r, 0, 0)
 }
 
 // Engine builds the phase-aware run engine for this system with the

@@ -2,9 +2,11 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"mellow/internal/config"
 	"mellow/internal/policy"
+	"mellow/internal/trace"
 )
 
 // quickCfg shortens runs for integration tests.
@@ -164,5 +166,43 @@ func TestUtilizationSane(t *testing.T) {
 	r := mustRun(t, quickCfg(), policy.Norm(), "milc")
 	if r.Mem.AvgUtilization <= 0 || r.Mem.AvgUtilization >= 1 {
 		t.Errorf("avg utilization = %v", r.Mem.AvgUtilization)
+	}
+}
+
+// TestKernelDrainAfterRun pins the profiler-rotation fix: the LLC
+// profiler re-arms itself every T_sample for as long as the kernel runs,
+// so as an ordinary event it kept Kernel.Drain spinning forever on a
+// finished system. As a daemon event it leaves no outstanding work once
+// the in-flight requests have completed.
+func TestKernelDrainAfterRun(t *testing.T) {
+	cfg := config.Default()
+	cfg.Run.WarmupInstructions = 50_000
+	cfg.Run.DetailedInstructions = 200_000
+	specs := append(policy.EvaluationSet(), policy.BEMellow().WithWQ())
+	for _, spec := range specs {
+		for _, wl := range []string{"hmmer", "GemsFDTD"} {
+			w, err := trace.ByName(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := NewSystem(cfg, spec, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Run()
+			done := make(chan struct{})
+			go func() {
+				sys.Kernel.Drain()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s/%s: Kernel.Drain() hung past 30s on a finished system", wl, spec.Name)
+			}
+			if n := sys.Kernel.PendingWork(); n != 0 {
+				t.Errorf("%s/%s: PendingWork() = %d after Drain, want 0", wl, spec.Name, n)
+			}
+		}
 	}
 }

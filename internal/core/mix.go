@@ -65,6 +65,7 @@ func RunMix(cfg config.Config, spec policy.Spec, workloads []string) (MixResult,
 	src := rng.New(cfg.Run.Seed)
 
 	cores := make([]*mixCore, len(workloads))
+	hiers := make([]*cache.Hierarchy, len(workloads))
 	for i, name := range workloads {
 		w, err := trace.ByName(name)
 		if err != nil {
@@ -73,6 +74,7 @@ func RunMix(cfg config.Config, spec policy.Spec, workloads []string) (MixResult,
 		hier := cache.NewHierarchy(cfg.Caches, src.Branch(uint64(i)))
 		gen := w.New(cfg.Run.Seed + uint64(i)*1001)
 		cores[i] = &mixCore{name: name, hier: hier, core: cpu.New(cfg, hier, ctl, gen)}
+		hiers[i] = hier
 	}
 
 	// The eager source drains candidates from the private LLCs round-
@@ -88,14 +90,7 @@ func RunMix(cfg config.Config, spec policy.Spec, workloads []string) (MixResult,
 		}
 		return 0, false
 	})
-	var rotate sim.Event
-	rotate = func(sim.Tick) {
-		for _, c := range cores {
-			c.hier.RotateProfile()
-		}
-		k.After(cfg.Caches.ProfilePeriod, rotate)
-	}
-	k.After(cfg.Caches.ProfilePeriod, rotate)
+	startProfileRotation(k, cfg.Caches.ProfilePeriod, hiers...)
 
 	runPhase := func(target uint64) {
 		for {

@@ -93,33 +93,57 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent
-// theta in (0, 1). It implements the classic Knuth/Gray approximate
-// inverse-CDF used by YCSB-style generators: item 0 is the hottest.
-type Zipf struct {
-	src   *Source
+// ZipfParams are the immutable constants of a Zipf distribution over
+// [0, n) with skew theta. They cost one zeta sum (up to 2^16 Pow calls)
+// to build, so a workload builds them once and every generator it creates
+// shares them; they are read-only after construction and safe to share
+// across goroutines.
+type ZipfParams struct {
 	n     uint64
 	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	// one is 1+0.5^theta, the draw threshold that maps to item 1.
+	one float64
 }
 
-// NewZipf constructs a Zipf generator over [0, n) with skew theta
-// (0 < theta < 1; larger is more skewed).
-func NewZipf(src *Source, n uint64, theta float64) *Zipf {
+// NewZipfParams computes the constants of a Zipf distribution over [0, n)
+// with skew theta (0 < theta < 1; larger is more skewed).
+func NewZipfParams(n uint64, theta float64) *ZipfParams {
 	if n == 0 {
 		panic("rng: NewZipf with n == 0")
 	}
 	if theta <= 0 || theta >= 1 {
 		panic("rng: NewZipf theta must be in (0,1)")
 	}
-	z := &Zipf{src: src, n: n, theta: theta}
-	z.zetan = zeta(n, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
-	return z
+	p := &ZipfParams{n: n, theta: theta}
+	p.zetan = zeta(n, theta)
+	p.alpha = 1.0 / (1.0 - theta)
+	p.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/p.zetan)
+	p.one = 1.0 + powF(0.5, theta)
+	return p
 }
+
+// Zipf draws from a Zipf-like distribution over [0, n) with exponent
+// theta in (0, 1). It implements the classic Knuth/Gray approximate
+// inverse-CDF used by YCSB-style generators: item 0 is the hottest.
+type Zipf struct {
+	src *Source
+	p   *ZipfParams
+}
+
+// NewZipf constructs a Zipf generator over [0, n) with skew theta
+// (0 < theta < 1; larger is more skewed).
+func NewZipf(src *Source, n uint64, theta float64) *Zipf {
+	return NewZipfParams(n, theta).New(src)
+}
+
+// New returns a generator drawing from these parameters with src.
+func (p *ZipfParams) New(src *Source) *Zipf { return &Zipf{src: src, p: p} }
+
+// Params returns the generator's (possibly shared) parameters.
+func (z *Zipf) Params() *ZipfParams { return z.p }
 
 func zeta(n uint64, theta float64) float64 {
 	// For large n this loop would be slow; cap the exact sum and
@@ -144,17 +168,18 @@ func powF(base, exp float64) float64 { return math.Pow(base, exp) }
 
 // Next returns the next Zipf-distributed value in [0, n).
 func (z *Zipf) Next() uint64 {
+	p := z.p
 	u := z.src.Float64()
-	uz := u * z.zetan
+	uz := u * p.zetan
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+powF(0.5, z.theta) {
+	if uz < p.one {
 		return 1
 	}
-	v := uint64(float64(z.n) * powF(z.eta*u-z.eta+1, z.alpha))
-	if v >= z.n {
-		v = z.n - 1
+	v := uint64(float64(p.n) * powF(p.eta*u-p.eta+1, p.alpha))
+	if v >= p.n {
+		v = p.n - 1
 	}
 	return v
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -166,6 +167,79 @@ func TestZipfPanicsOnBadArgs(t *testing.T) {
 			NewZipf(s, tc.n, tc.theta)
 		}()
 	}
+}
+
+// refZipfDraw is the Zipf draw as the generator originally made it, with
+// Pow(0.5, theta) recomputed on every call. zetan, eta and alpha are the
+// construction-time constants, built independently in the test.
+func refZipfDraw(u float64, n uint64, theta, zetan, eta, alpha float64) uint64 {
+	uz := u * zetan
+	if uz < 1.0 {
+		return 0
+	}
+	if uz < 1.0+math.Pow(0.5, theta) {
+		return 1
+	}
+	v := uint64(float64(n) * math.Pow(eta*u-eta+1, alpha))
+	if v >= n {
+		v = n - 1
+	}
+	return v
+}
+
+func refZetaSum(n uint64, theta float64) float64 {
+	m := n
+	if m > 1<<16 {
+		m = 1 << 16
+	}
+	sum := 0.0
+	for i := uint64(1); i <= m; i++ {
+		sum += math.Pow(1.0/float64(i), theta)
+	}
+	if n > m {
+		sum += (math.Pow(float64(n), 1-theta) - math.Pow(float64(m), 1-theta)) / (1 - theta)
+	}
+	return sum
+}
+
+// TestZipfMatchesInlineFormula pins the hoisted constants: every draw
+// equals the formula evaluated with Pow(0.5, theta), alpha and eta
+// recomputed per call, bit for bit, over ranges below and above the
+// exact zeta cap and through shared parameters.
+func TestZipfMatchesInlineFormula(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 100_000
+	}
+	for _, tc := range []struct {
+		n     uint64
+		theta float64
+	}{{1000, 0.9}, {16384, 0.8}, {49152, 0.7}, {1 << 20, 0.6}, {3, 0.5}} {
+		zetan := refZetaSum(tc.n, tc.theta)
+		alpha := 1.0 / (1.0 - tc.theta)
+		eta := (1 - math.Pow(2.0/float64(tc.n), 1-tc.theta)) / (1 - refZetaSum(2, tc.theta)/zetan)
+		p := NewZipfParams(tc.n, tc.theta)
+		z, ref := p.New(New(tc.n)), New(tc.n)
+		for i := 0; i < draws; i++ {
+			want := refZipfDraw(ref.Float64(), tc.n, tc.theta, zetan, eta, alpha)
+			if got := z.Next(); got != want {
+				t.Fatalf("n=%d theta=%v draw %d: got %d, want %d", tc.n, tc.theta, i, got, want)
+			}
+		}
+		if z.Params() != p {
+			t.Fatalf("n=%d: generator does not share its parameters", tc.n)
+		}
+	}
+}
+
+func BenchmarkZipfNext(b *testing.B) {
+	z := NewZipf(New(1), 16384, 0.8) // hmmer's 1 MB hot set
+	b.ReportAllocs()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += z.Next()
+	}
+	_ = sink
 }
 
 func BenchmarkUint64(b *testing.B) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
@@ -138,4 +139,40 @@ func TestGoldenTraceFile(t *testing.T) {
 			t.Fatalf("golden record %d drifted: %+v != %+v", i, op, want)
 		}
 	}
+}
+
+// FuzzParseOps feeds arbitrary bytes to the replay parser: it must never
+// panic, and every accepted input must survive an export round trip
+// (WriteOps then ParseOps) op for op.
+func FuzzParseOps(f *testing.F) {
+	for _, p := range []string{"../../scenarios/replay/gups-10k.trace", "testdata/milc64.trace"} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte("# comment\n\n3 8000000 R!\n0 40 W\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, err := ParseOps(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteOps(&buf, ops); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseOps(&buf)
+		if err != nil {
+			t.Fatalf("re-parsing exported ops: %v", err)
+		}
+		if len(again) != len(ops) {
+			t.Fatalf("round trip: %d ops, want %d", len(again), len(ops))
+		}
+		for i := range ops {
+			if again[i] != ops[i] {
+				t.Fatalf("round trip op %d: got %+v, want %+v", i, again[i], ops[i])
+			}
+		}
+	})
 }

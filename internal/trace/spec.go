@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"mellow/internal/rng"
 )
@@ -263,7 +264,10 @@ func (sp Spec) Hash() (string, error) {
 
 // Workload builds a runnable Workload from the spec. name labels
 // results; targetMPKI may be zero if unknown. Replay specs parse once
-// here, so New never fails afterwards.
+// here, so New never fails afterwards. A hot set's Zipf parameters are
+// built on the first New and shared by every later generator of the
+// returned Workload; nothing is computed here, so loading a spec stays
+// cheap.
 func (sp Spec) Workload(name string, targetMPKI float64) (Workload, error) {
 	n := sp.Normalize()
 	if err := n.Validate(); err != nil {
@@ -281,30 +285,44 @@ func (sp Spec) Workload(name string, targetMPKI float64) (Workload, error) {
 		}
 		return w, nil
 	}
-	w.New = n.generator
+	var zipf func() *rng.ZipfParams
+	if n.HotBytes > 0 {
+		zipf = sync.OnceValue(func() *rng.ZipfParams {
+			return rng.NewZipfParams(n.zipfLines(), n.HotTheta)
+		})
+	}
+	w.New = func(seed uint64) Generator { return n.generator(seed, zipf) }
 	return w, nil
 }
 
+// zipfLines is the Zipf range of the hot set: every line of the
+// allocated region for stream/random hot sets, but only the requested
+// bytes' lines for hotonly (its region may be larger after alignment).
+func (sp Spec) zipfLines() uint64 {
+	if sp.Kind == KindHotOnly {
+		return sp.HotBytes / 64
+	}
+	return alignedBytes(sp.HotBytes) / 64
+}
+
 // generator builds the synthetic generator for a validated, normalized
-// spec. The construction order of rng branches and layout allocations
-// reproduces the legacy closures exactly — Branch advances the parent
-// stream and alloc the layout cursor, so sequence is part of the
-// contract (pinned by the equivalence tests).
-func (sp Spec) generator(seed uint64) Generator {
+// spec; zipf supplies the hot set's shared Zipf parameters. The
+// construction order of rng branches and layout allocations reproduces
+// the original per-workload closures exactly — Branch advances the
+// parent stream and alloc the layout cursor, so sequence is part of the
+// contract (pinned by the frozen-reference equivalence tests).
+func (sp Spec) generator(seed uint64, zipf func() *rng.ZipfParams) Generator {
 	src := rng.New(seed)
 	lay := newLayout()
 	switch sp.Kind {
 	case KindStream:
-		s := &stream{src: src, gap: gapper{src: src.Branch(1), mean: sp.GapMean}}
-		for i := 0; i < sp.ReadArrays; i++ {
-			s.reads = append(s.reads, lay.alloc(sp.ArrayBytes))
-		}
-		for i := 0; i < sp.WriteArrays; i++ {
-			s.writes = append(s.writes, lay.alloc(sp.ArrayBytes))
+		s := &stream{src: src, gap: gapper{src: src.Branch(1), mean: sp.GapMean}, nreads: sp.ReadArrays}
+		for i := 0; i < sp.ReadArrays+sp.WriteArrays; i++ {
+			reg := lay.alloc(sp.ArrayBytes)
+			s.bases, s.size = append(s.bases, reg.base), reg.bytes
 		}
 		if sp.HotBytes > 0 {
-			s.hot = newHotSet(src.Branch(2), lay.alloc(sp.HotBytes), sp.HotTheta, sp.HotWriteProb)
-			s.pHot = sp.HotProb
+			s.hot, s.pHot = sp.hotSet(src, lay, zipf), sp.HotProb
 		}
 		return s
 	case KindRandom:
@@ -313,23 +331,26 @@ func (sp Spec) generator(seed uint64) Generator {
 			reg: lay.alloc(sp.RegionBytes), dep: sp.Dep, rmw: sp.RMW, wProb: sp.WriteProb,
 		}
 		if sp.HotBytes > 0 {
-			r.hot = newHotSet(src.Branch(2), lay.alloc(sp.HotBytes), sp.HotTheta, sp.HotWriteProb)
-			r.pHot = sp.HotProb
+			r.hot, r.pHot = sp.hotSet(src, lay, zipf), sp.HotProb
 		}
 		return r
 	case KindHotOnly:
-		return &random{
+		r := &random{
 			src: src, gap: gapper{src: src.Branch(1), mean: sp.GapMean},
 			reg:  lay.alloc(sp.RegionBytes), // cold leak region
 			pHot: sp.HotProb,
-			hot: &hotSet{
-				src:       src.Branch(2),
-				reg:       lay.alloc(sp.HotBytes),
-				zipf:      rng.NewZipf(src.Branch(3), sp.HotBytes/64, sp.HotTheta),
-				writeProb: sp.HotWriteProb,
-			},
 		}
+		hs := src.Branch(2)
+		r.hot = newHotSet(hs, lay.alloc(sp.HotBytes), zipf().New(src.Branch(3)), sp.HotWriteProb)
+		return r
 	default:
 		panic(fmt.Sprintf("trace: generator for unvalidated spec kind %q", sp.Kind))
 	}
+}
+
+// hotSet builds a stream or random spec's hot set: its own stream
+// branched from src, and its Zipf draw branched from that one.
+func (sp Spec) hotSet(src *rng.Source, lay *layout, zipf func() *rng.ZipfParams) *hotSet {
+	hs := src.Branch(2)
+	return newHotSet(hs, lay.alloc(sp.HotBytes), zipf().New(hs.Branch(0x407)), sp.HotWriteProb)
 }

@@ -55,15 +55,21 @@ func (g *gapper) next() uint32 {
 	return uint32(n)
 }
 
-// region is a contiguous array of memory, addressed in 8-byte elements.
+// region is a contiguous array of memory.
 type region struct {
 	base  uint64
 	bytes uint64
 }
 
-func (r region) elemAddr(i uint64) uint64 { return r.base + (i*8)%r.bytes }
-func (r region) lineAddr(l uint64) uint64 { return r.base + (l*64)%r.bytes }
-func (r region) lines() uint64            { return r.bytes / 64 }
+func (r region) lines() uint64 { return r.bytes / 64 }
+
+// regionAlign is the layout's allocation granularity.
+const regionAlign = 1 << 20
+
+// alignedBytes rounds a region request up to the allocation granularity.
+func alignedBytes(bytes uint64) uint64 {
+	return (bytes + regionAlign - 1) &^ uint64(regionAlign-1)
+}
 
 // layout hands out non-overlapping regions within the 4 GB physical
 // space, leaving the first 64 MB unused and aligning to 1 MB.
@@ -72,10 +78,8 @@ type layout struct{ cursor uint64 }
 func newLayout() *layout { return &layout{cursor: 64 << 20} }
 
 func (a *layout) alloc(bytes uint64) region {
-	const align = 1 << 20
-	bytes = (bytes + align - 1) &^ uint64(align-1)
-	r := region{base: a.cursor, bytes: bytes}
-	a.cursor += bytes
+	r := region{base: a.cursor, bytes: alignedBytes(bytes)}
+	a.cursor += r.bytes
 	if a.cursor > 4<<30 {
 		panic("trace: workload layout exceeds 4 GB physical memory")
 	}
@@ -87,41 +91,48 @@ func (a *layout) alloc(bytes uint64) region {
 // eager profiler feeds on.
 type hotSet struct {
 	src       *rng.Source
-	reg       region
+	base      uint64
+	lines     uint64
+	mask      uint64 // lines-1 when lines is a power of two, else 0
 	zipf      *rng.Zipf
 	writeProb float64
 }
 
-func newHotSet(src *rng.Source, reg region, theta, writeProb float64) *hotSet {
-	return &hotSet{
-		src:       src,
-		reg:       reg,
-		zipf:      rng.NewZipf(src.Branch(0x407), reg.lines(), theta),
-		writeProb: writeProb,
+func newHotSet(src *rng.Source, reg region, zipf *rng.Zipf, writeProb float64) *hotSet {
+	h := &hotSet{src: src, base: reg.base, lines: reg.lines(), zipf: zipf, writeProb: writeProb}
+	if h.lines&(h.lines-1) == 0 {
+		h.mask = h.lines - 1
 	}
+	return h
 }
 
 func (h *hotSet) access() (addr uint64, write bool) {
-	l := h.zipf.Next()
 	// Spread the popular lines across the address space so they do not
 	// all collide in the same cache sets: multiply by a large odd
-	// constant modulo the line count (a bijection).
-	l = (l * 0x9E3779B1) % h.reg.lines()
-	return h.reg.lineAddr(l), h.src.Bool(h.writeProb)
+	// constant modulo the line count (a bijection). The product stays far
+	// below 2^64 (lines < 2^26), and the Zipf draw is below lines, so the
+	// result is already a line index within the region.
+	l := h.zipf.Next() * 0x9E3779B1
+	if h.mask != 0 {
+		l &= h.mask
+	} else {
+		l %= h.lines
+	}
+	return h.base + l*64, h.src.Bool(h.writeProb)
 }
 
-// stream walks a set of arrays element-by-element (8-byte words),
-// emitting one access per array per element — the shape of stream/lbm/
-// milc/libquantum and, with more arrays plus a hot set, of the stencil
-// codes. writeProb applies to arrays marked maybeWrite (used by
-// libquantum's conditional updates).
+// stream walks a set of equally sized arrays element-by-element (8-byte
+// words), emitting one access per array per element — the shape of
+// stream/lbm/milc/libquantum and, with more arrays plus a hot set, of the
+// stencil codes. Read arrays come first in the sweep, then write arrays.
 type stream struct {
 	src    *rng.Source
 	gap    gapper
-	reads  []region
-	writes []region
-	elem   uint64
-	idx    int // next position in the combined read+write sweep
+	bases  []uint64 // array base addresses: reads, then writes
+	nreads int
+	size   uint64 // bytes per array
+	off    uint64 // byte offset of the current element, wraps at size
+	idx    int    // next position in the combined read+write sweep
 	hot    *hotSet
 	pHot   float64
 }
@@ -132,16 +143,13 @@ func (s *stream) Next() Op {
 		addr, w := s.hot.access()
 		return Op{Gap: g, Addr: addr, Write: w}
 	}
-	var op Op
-	if s.idx < len(s.reads) {
-		op = Op{Gap: g, Addr: s.reads[s.idx].elemAddr(s.elem)}
-	} else {
-		op = Op{Gap: g, Addr: s.writes[s.idx-len(s.reads)].elemAddr(s.elem), Write: true}
-	}
+	op := Op{Gap: g, Addr: s.bases[s.idx] + s.off, Write: s.idx >= s.nreads}
 	s.idx++
-	if s.idx == len(s.reads)+len(s.writes) {
+	if s.idx == len(s.bases) {
 		s.idx = 0
-		s.elem++
+		if s.off += 8; s.off == s.size {
+			s.off = 0
+		}
 	}
 	return op
 }
@@ -173,7 +181,7 @@ func (r *random) Next() Op {
 		addr, w := r.hot.access()
 		return Op{Gap: g, Addr: addr, Write: w}
 	}
-	addr := r.reg.lineAddr(r.src.Uintn(r.reg.lines()))
+	addr := r.reg.base + r.src.Uintn(r.reg.lines())*64
 	if r.rmw && r.src.Bool(r.wProb) {
 		r.pending = addr
 		r.hasPend = true
