@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"mellow/internal/config"
+	"mellow/internal/engine"
 	"mellow/internal/policy"
 	"mellow/internal/trace"
 )
@@ -17,9 +19,19 @@ func quickCfg() config.Config {
 	return cfg
 }
 
+// run simulates a builtin workload by name.
+func run(cfg config.Config, spec policy.Spec, workload string) (Result, error) {
+	w, err := trace.ByName(workload)
+	if err != nil {
+		return Result{}, err
+	}
+	r, _, err := Simulate(context.Background(), cfg, spec, w, engine.Options{})
+	return r, err
+}
+
 func mustRun(t *testing.T, cfg config.Config, spec policy.Spec, workload string) Result {
 	t.Helper()
-	r, err := Run(cfg, spec, workload)
+	r, err := run(cfg, spec, workload)
 	if err != nil {
 		t.Fatalf("Run(%s, %s): %v", workload, spec.Name, err)
 	}
@@ -51,7 +63,7 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestUnknownWorkload(t *testing.T) {
-	if _, err := Run(quickCfg(), policy.Norm(), "nope"); err == nil {
+	if _, err := run(quickCfg(), policy.Norm(), "nope"); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
 }
@@ -59,7 +71,7 @@ func TestUnknownWorkload(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := quickCfg()
 	cfg.CPU.IssueWidth = 0
-	if _, err := Run(cfg, policy.Norm(), "stream"); err == nil {
+	if _, err := run(cfg, policy.Norm(), "stream"); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -189,7 +201,9 @@ func TestKernelDrainAfterRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.Run()
+			if _, err := sys.RunContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 			done := make(chan struct{})
 			go func() {
 				sys.Kernel.Drain()

@@ -7,6 +7,7 @@ import (
 
 	"mellow/internal/config"
 	"mellow/internal/policy"
+	"mellow/internal/trace"
 )
 
 // tinyConfig keeps hammer tests fast: a few tens of thousands of
@@ -19,7 +20,17 @@ func tinyConfig(seed uint64) config.Config {
 	return cfg
 }
 
-// TestRunCachedConcurrent hammers the memoisation cache from many
+// builtinCell is the Cell for a builtin workload.
+func builtinCell(t *testing.T, cfg config.Config, spec policy.Spec, workload string) Cell {
+	t.Helper()
+	w, err := trace.ByName(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Cell{Cfg: cfg, Policy: spec, Workload: w}
+}
+
+// TestRunCachedConcurrent hammers Run's memoisation cache from many
 // goroutines (run under -race): identical keys must simulate exactly
 // once, and every caller must observe the same result.
 func TestRunCachedConcurrent(t *testing.T) {
@@ -29,6 +40,7 @@ func TestRunCachedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := builtinCell(t, cfg, spec, "stream")
 	const goroutines = 16
 	var wg sync.WaitGroup
 	ipcs := make([]float64, goroutines)
@@ -37,12 +49,12 @@ func TestRunCachedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := RunCached(context.Background(), cfg, spec, "stream")
+			r, err := Run(context.Background(), c, Observation{})
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
 			}
-			ipcs[i] = r.IPC
+			ipcs[i] = r.Result.IPC
 		}()
 	}
 	wg.Wait()
@@ -67,7 +79,7 @@ func TestRunCachedConcurrent(t *testing.T) {
 // goroutines at once, the daemon's usage pattern.
 func TestRunAllConcurrent(t *testing.T) {
 	ResetCache()
-	o := Options{Cfg: tinyConfig(7), Parallel: 4}
+	o := Options{Cfg: tinyConfig(7)}
 	specs := policy.EvaluationSet()[:3]
 	var jobs []job
 	for _, s := range specs {
@@ -105,7 +117,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
-		if _, err := RunCached(context.Background(), tinyConfig(seed), spec, "gups"); err != nil {
+		if _, err := Run(context.Background(), builtinCell(t, tinyConfig(seed), spec, "gups"), Observation{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +142,7 @@ func TestRunCancellation(t *testing.T) {
 	}
 	cfg := tinyConfig(3)
 	cfg.Run.DetailedInstructions = 50_000_000 // would take seconds uncancelled
-	if _, err := RunCached(ctx, cfg, spec, "stream"); err != context.Canceled {
+	if _, err := Run(ctx, builtinCell(t, cfg, spec, "stream"), Observation{}); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	if st := CacheSnapshot(); st.Entries != 0 {

@@ -35,17 +35,11 @@ type Options struct {
 	Out io.Writer
 	// Workloads restricts the benchmark suite (default: all 11).
 	Workloads []string
-	// Parallel, when positive, additionally throttles this sweep's
-	// fan-out. Simulation concurrency itself is governed by the
-	// process-wide sched.Default() budget — every simulation acquires a
-	// scheduler slot before it runs, whatever sweep or job spawned it.
-	Parallel int
 	// Epoch, when positive, runs every simulation observed at this
 	// sampling period and hands each collected series to OnSeries.
 	Epoch sim.Tick
 	// OnSeries receives one record per simulated (workload, policy) when
-	// Epoch is set. Calls are serialised but may come from any worker
-	// goroutine, in completion order.
+	// Epoch is set. Calls are serialised, in completion order.
 	OnSeries func(SeriesRecord)
 	// OnProgress, when set, is called after every simulation a sweep
 	// completes, with the done count and the sweep total. Calls are
@@ -127,27 +121,43 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
 }
 
-// runKey identifies one simulation for memoisation. Observed runs key
-// on their sampling period and per-bank-damage flag too: the stored
-// epoch series is part of the memoised value, and equal keys must yield
-// equal bytes.
+// Cell is one simulation: a configuration, a write policy and a
+// workload built from a declarative spec (trace.ByName or
+// trace.Spec.Workload).
+type Cell struct {
+	Cfg      config.Config
+	Policy   policy.Spec
+	Workload trace.Workload
+}
+
+// runKey identifies one simulation for memoisation. The workload enters
+// by its result label plus its spec's content hash, so one name with
+// one spec shares a key whether it came from the builtin suite or an
+// inline scenario spec. Observed runs key on their sampling period and
+// per-bank-damage flag too: the stored epoch series is part of the
+// memoised value, and equal keys must yield equal bytes.
 type runKey struct {
 	cfg        string // canonical JSON of the config
 	policy     string
 	workload   string
+	spec       string   // workload spec hash
 	epoch      sim.Tick // 0 for unobserved runs
 	bankDamage bool
 	metrics    bool // per-run metrics snapshot stored with the value
 	trace      bool // execution timeline stored with the value
 }
 
-func keyFor(cfg config.Config, spec policy.Spec, workload string, epoch sim.Tick, bankDamage, metrics, trace bool) runKey {
-	b, err := cfg.CanonicalJSON()
+func keyFor(c Cell, ob Observation) (runKey, error) {
+	b, err := c.Cfg.CanonicalJSON()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: config not serialisable: %v", err))
 	}
-	return runKey{cfg: string(b), policy: spec.Name, workload: workload,
-		epoch: epoch, bankDamage: bankDamage, metrics: metrics, trace: trace}
+	h, err := c.Workload.SpecHash()
+	if err != nil {
+		return runKey{}, fmt.Errorf("experiments: %w", err)
+	}
+	return runKey{cfg: string(b), policy: c.Policy.Name, workload: c.Workload.Name, spec: h,
+		epoch: ob.Epoch, bankDamage: ob.BankDamage, metrics: ob.Metrics, trace: ob.Trace}, nil
 }
 
 // DefaultCacheCap bounds the memoisation cache so a long-lived process
@@ -352,21 +362,10 @@ func CacheCollector(prefix string) metrics.Collector {
 	}
 }
 
-// RunCached is the memoised, deduplicated simulation entry point: an
-// identical (config, policy, workload) triple simulates at most once
-// concurrently and its result is reused across callers — the primitive
-// the mellowd service builds on.
-func RunCached(ctx context.Context, cfg config.Config, spec policy.Spec, workload string) (core.Result, error) {
-	c, err := memo.do(ctx, keyFor(cfg, spec, workload, 0, false, false, false), func() (cached, error) {
-		r, err := core.RunContext(ctx, cfg, spec, workload)
-		return cached{res: r}, err
-	})
-	return c.res, err
-}
-
 // Observation configures an observed simulation run.
 type Observation struct {
-	// Epoch is the sampling period in ticks (0: engine.DefaultEpoch).
+	// Epoch is the sampling period in ticks; 0 runs without epoch
+	// sampling.
 	Epoch sim.Tick
 	// BankDamage includes the per-bank damage vector in every sample.
 	BankDamage bool
@@ -395,32 +394,6 @@ type Observation struct {
 	Trace bool
 }
 
-func (ob Observation) epoch() sim.Tick {
-	if ob.Epoch > 0 {
-		return ob.Epoch
-	}
-	return engine.DefaultEpoch
-}
-
-// RunObserved is RunCached for observed runs: the memoised value
-// carries the deterministic epoch series, so equal keys still yield
-// equal bytes. The returned series is shared and must not be modified.
-func RunObserved(ctx context.Context, cfg config.Config, spec policy.Spec, workload string, ob Observation) (core.Result, []engine.EpochSample, error) {
-	ob.Epoch = ob.epoch()
-	r, series, _, err := RunInstrumented(ctx, cfg, spec, workload, ob)
-	return r, series, err
-}
-
-// RunInstrumented is the metrics-aware memoised entry point: epoch
-// observation when ob.Epoch > 0, a per-run metrics snapshot when
-// ob.Metrics. The returned series and snapshot are shared and must not
-// be modified. Callers that also want the execution timeline use
-// RunFull.
-func RunInstrumented(ctx context.Context, cfg config.Config, spec policy.Spec, workload string, ob Observation) (core.Result, []engine.EpochSample, *metrics.Snapshot, error) {
-	ins, err := RunFull(ctx, cfg, spec, workload, ob)
-	return ins.Result, ins.Series, ins.Metrics, err
-}
-
 // Instrumented bundles everything one memoised simulation can produce.
 // Series, Metrics and Trace are shared with the memo cache and must not
 // be modified.
@@ -431,14 +404,25 @@ type Instrumented struct {
 	Trace   *xtrace.SimTrace
 }
 
-// RunFull is the full memoised entry point: epoch observation when
-// ob.Epoch > 0, a per-run metrics snapshot when ob.Metrics, an
-// execution timeline when ob.Trace — all stored with the memoised value
-// (every observer is deterministic or, for the timeline, read-only, so
-// equal keys still yield equal result bytes).
-func RunFull(ctx context.Context, cfg config.Config, spec policy.Spec, workload string, ob Observation) (Instrumented, error) {
-	key := keyFor(cfg, spec, workload, ob.Epoch, ob.BankDamage, ob.Metrics, ob.Trace)
-	c, err := memo.do(ctx, key, func() (cached, error) {
+// Run is the memoised, deduplicated simulation entry point: an
+// identical cell under an identical observation simulates at most once
+// concurrently, and its result is reused across callers. It observes
+// epochs when ob.Epoch > 0, snapshots per-run metrics when ob.Metrics
+// and records an execution timeline when ob.Trace — all stored with the
+// memoised value (every observer is deterministic or, for the timeline,
+// read-only, so equal keys still yield equal result bytes). A workload
+// without a Spec has no memo identity and is an error here; run it
+// through core.Simulate. A context that has already ended fails the
+// call even when the result is memoised.
+func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
+	if err := ctx.Err(); err != nil {
+		return Instrumented{}, err
+	}
+	key, err := keyFor(c, ob)
+	if err != nil {
+		return Instrumented{}, err
+	}
+	ch, err := memo.do(ctx, key, func() (cached, error) {
 		opts := engine.Options{
 			Epoch:      ob.Epoch,
 			Collect:    ob.Epoch > 0,
@@ -456,7 +440,7 @@ func RunFull(ctx context.Context, cfg config.Config, spec policy.Spec, workload 
 			rec = xtrace.NewRecorder(0)
 			opts.Timeline = rec
 		}
-		r, series, err := core.RunObserved(ctx, cfg, spec, workload, opts)
+		r, series, err := core.Simulate(ctx, c.Cfg, c.Policy, c.Workload, opts)
 		if err != nil {
 			rec.Discard()
 			return cached{}, err
@@ -467,9 +451,9 @@ func RunFull(ctx context.Context, cfg config.Config, spec policy.Spec, workload 
 			ch.met = &snap
 		}
 		if rec != nil {
-			ch.trace = rec.Finalize(workload, spec.Name, cfg.Memory.Banks())
+			ch.trace = rec.Finalize(c.Workload.Name, c.Policy.Name, c.Cfg.Memory.Banks())
 		}
-		return ch, err
+		return ch, nil
 	})
 	if err != nil {
 		return Instrumented{}, err
@@ -479,7 +463,49 @@ func RunFull(ctx context.Context, cfg config.Config, spec policy.Spec, workload 
 		// caller ran the simulation itself.
 		ob.Tracker.SetProgress(1)
 	}
-	return Instrumented{Result: c.res, Series: c.series, Metrics: c.met, Trace: c.trace}, nil
+	return Instrumented{Result: ch.res, Series: ch.series, Metrics: ch.met, Trace: ch.trace}, nil
+}
+
+// FanOut runs cell(ctx, i) for every i in [0, n) concurrently and
+// returns the results slotted by index, whatever order the cells finish
+// in. The first error cancels the context every other cell sees and is
+// returned; the slots of cells that succeeded are still filled. Every
+// cell is attempted exactly once, so a caller's progress reaches n even
+// when the fan-out fails. done, when set, is called once per cell with
+// its index, result and error; the calls run one at a time on the
+// caller's goroutine, in completion order. Concurrency is bounded by
+// the process-wide sched.Default() budget, which Run acquires per
+// simulation, not here.
+func FanOut[T any](ctx context.Context, n int, cell func(ctx context.Context, i int) (T, error), done func(i int, r T, err error)) ([]T, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type outcome struct {
+		i   int
+		r   T
+		err error
+	}
+	finished := make(chan outcome)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			r, err := cell(ctx, i)
+			finished <- outcome{i, r, err}
+		}(i)
+	}
+	out := make([]T, n)
+	var firstErr error
+	for k := 0; k < n; k++ {
+		o := <-finished
+		if o.err == nil {
+			out[o.i] = o.r
+		} else if firstErr == nil {
+			firstErr = o.err
+			cancel()
+		}
+		if done != nil {
+			done(o.i, o.r, o.err)
+		}
+	}
+	return out, firstErr
 }
 
 // SeriesRecord labels one simulation's epoch series for export.
@@ -498,115 +524,68 @@ type TraceRecord struct {
 	Trace    *xtrace.SimTrace
 }
 
-// job is one simulation to perform.
+// job is one simulation of a sweep, over a builtin workload.
 type job struct {
 	cfg      config.Config
 	spec     policy.Spec
 	workload string
 }
 
-// runAll executes the jobs (memoised, parallel) and returns results
-// keyed by (policy, workload). With Options.Epoch set, runs are
-// observed and each series goes to OnSeries; OnProgress fires after
-// every attempted job either way — including failed ones, so a sweep
-// that errors still accounts for every simulation it attempted and a
-// caller's progress figure never freezes at an arbitrary value.
-//
-// Concurrency is bounded by the process-wide sched.Default() budget
-// (acquired per simulation at the memo-cache miss), not by a sweep-
-// local semaphore: many sweeps fanning out at once still run at most
-// budget simulations in total.
-func runAll(o Options, jobs []job) (map[[2]string]core.Result, error) {
-	ctx := o.ctx()
-	results := make(map[[2]string]core.Result, len(jobs))
-	var resMu sync.Mutex
-	var cbMu sync.Mutex // serialises OnSeries/OnProgress outside resMu
-	total := len(jobs)
-	done := 0
-	// Optional sweep-local fan-out throttle, in addition to the
-	// process-wide scheduler gate.
-	var sem chan struct{}
-	if o.Parallel > 0 {
-		sem = make(chan struct{}, o.Parallel)
-	}
-	var wg sync.WaitGroup
-	var firstErr error
-	for _, j := range jobs {
-		if err := ctx.Err(); err != nil {
-			resMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			resMu.Unlock()
-			break
+// runAll executes the jobs through Run and FanOut and returns their
+// results in job order. Runs are observed when Options.Epoch is set
+// (each series goes to OnSeries) and traced when Options.Trace is (each
+// timeline goes to OnTrace). OnProgress fires after every attempted job,
+// failed ones included, so a sweep that errors still accounts for every
+// simulation it attempted.
+func runAll(o Options, jobs []job) ([]core.Result, error) {
+	ob := Observation{Epoch: o.Epoch, Trace: o.Trace}
+	attempted := 0
+	ins, err := FanOut(o.ctx(), len(jobs), func(ctx context.Context, i int) (Instrumented, error) {
+		w, err := trace.ByName(jobs[i].workload)
+		if err != nil {
+			return Instrumented{}, err
 		}
-		j := j
-		wg.Add(1)
-		if sem != nil {
-			sem <- struct{}{}
+		return Run(ctx, Cell{Cfg: jobs[i].cfg, Policy: jobs[i].spec, Workload: w}, ob)
+	}, func(i int, in Instrumented, err error) {
+		attempted++
+		j := jobs[i]
+		if err == nil && o.OnSeries != nil && o.Epoch > 0 {
+			o.OnSeries(SeriesRecord{Workload: j.workload, Policy: j.spec.Name, Series: in.Series})
 		}
-		go func() {
-			defer wg.Done()
-			if sem != nil {
-				defer func() { <-sem }()
-			}
-			var r core.Result
-			var series []engine.EpochSample
-			var tr *xtrace.SimTrace
-			var err error
-			switch {
-			case o.Trace:
-				ob := Observation{Trace: true}
-				if o.Epoch > 0 {
-					ob.Epoch = o.Epoch
-				}
-				var ins Instrumented
-				ins, err = RunFull(ctx, j.cfg, j.spec, j.workload, ob)
-				r, series, tr = ins.Result, ins.Series, ins.Trace
-			case o.Epoch > 0:
-				r, series, err = RunObserved(ctx, j.cfg, j.spec, j.workload,
-					Observation{Epoch: o.Epoch})
-			default:
-				r, err = RunCached(ctx, j.cfg, j.spec, j.workload)
-			}
-			resMu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				results[[2]string{j.spec.Name, j.workload}] = r
-			}
-			resMu.Unlock()
-
-			cbMu.Lock()
-			done++
-			if err == nil && o.OnSeries != nil && o.Epoch > 0 {
-				o.OnSeries(SeriesRecord{Workload: j.workload, Policy: j.spec.Name, Series: series})
-			}
-			if err == nil && o.OnTrace != nil && tr != nil {
-				o.OnTrace(TraceRecord{Workload: j.workload, Policy: j.spec.Name, Trace: tr})
-			}
-			if o.OnProgress != nil {
-				o.OnProgress(done, total)
-			}
-			cbMu.Unlock()
-		}()
+		if err == nil && o.OnTrace != nil && in.Trace != nil {
+			o.OnTrace(TraceRecord{Workload: j.workload, Policy: j.spec.Name, Trace: in.Trace})
+		}
+		if o.OnProgress != nil {
+			o.OnProgress(attempted, len(jobs))
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	results := make([]core.Result, len(ins))
+	for i, in := range ins {
+		results[i] = in.Result
 	}
 	return results, nil
 }
 
-// runOne executes (or reuses) a single simulation.
-func runOne(o Options, cfg config.Config, spec policy.Spec, workload string) (core.Result, error) {
-	return RunCached(o.ctx(), cfg, spec, workload)
+// runSweep is runAll with the results keyed by (policy name, workload),
+// for sweeps in which that pair names one job.
+func runSweep(o Options, jobs []job) (map[[2]string]core.Result, error) {
+	res, err := runAll(o, jobs)
+	if err != nil {
+		return nil, err
+	}
+	keyed := make(map[[2]string]core.Result, len(jobs))
+	for i, j := range jobs {
+		keyed[[2]string{j.spec.Name, j.workload}] = res[i]
+	}
+	return keyed, nil
 }
 
-// evalSweep runs the Figure 10–16 policy line-up over the active suite.
-func evalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
+// EvalSweep runs the Figure 10–16 policy line-up over the active suite:
+// results keyed by (policy name, workload), plus the line-up.
+func EvalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
 	specs := policy.EvaluationSet()
 	var jobs []job
 	for _, w := range o.workloads() {
@@ -614,12 +593,6 @@ func evalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
 			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
 		}
 	}
-	res, err := runAll(o, jobs)
+	res, err := runSweep(o, jobs)
 	return res, specs, err
-}
-
-// EvalSweep exposes the Figure 10-16 sweep to sibling tools (the SVG
-// plotter): results keyed by (policy name, workload), plus the line-up.
-func EvalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
-	return evalSweep(o)
 }

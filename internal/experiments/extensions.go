@@ -49,7 +49,7 @@ func runExt1(o Options) error {
 			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
 		}
 	}
-	res, err := runAll(o, jobs)
+	res, err := runSweep(o, jobs)
 	if err != nil {
 		return err
 	}
@@ -81,39 +81,35 @@ func runExt2(o Options) error {
 		{"lru-profile (paper)", cache.PredictorLRUProfile},
 		{"decay (dead-block)", cache.PredictorDecay},
 	}
+	// One job per (variant, workload), then a Norm baseline per workload
+	// on the default config. The variants share a policy name, so the
+	// results are read by job index.
+	ws := o.workloads()
 	var jobs []job
-	cfgs := map[string]Options{}
 	for _, v := range variants {
 		cfg := o.Cfg
 		cfg.Caches.EagerPredictor = v.predictor
-		cfgs[v.predictor] = Options{Cfg: cfg}
-		for _, w := range o.workloads() {
+		for _, w := range ws {
 			jobs = append(jobs, job{cfg: cfg, spec: spec, workload: w})
 		}
 	}
-	// Also a Norm baseline on the default config.
-	for _, w := range o.workloads() {
+	for _, w := range ws {
 		jobs = append(jobs, job{cfg: o.Cfg, spec: policy.Norm(), workload: w})
 	}
 	res, err := runAll(o, jobs)
 	if err != nil {
 		return err
 	}
-	// runAll keys by (policy, workload); the two variants share a policy
-	// name, so rerun per variant to keep results separate.
 	t := stats.Table{
 		Title: "Extension 2: eager-candidate predictor " +
 			"(IPC vs Norm / lifetime years / wasted eager writes)",
 		Header: []string{"workload", variants[0].label, variants[1].label},
 	}
-	for _, w := range o.workloads() {
-		base := res[[2]string{"Norm", w}]
+	for k, w := range ws {
+		base := res[len(variants)*len(ws)+k]
 		row := []string{w}
-		for _, v := range variants {
-			r, err := runOne(o, cfgs[v.predictor].Cfg, spec, w)
-			if err != nil {
-				return err
-			}
+		for v := range variants {
+			r := res[v*len(ws)+k]
 			row = append(row, fmt.Sprintf("%.2f/%s/%d",
 				r.IPC/base.IPC, formatYears(r.LifetimeYears()), r.Cache.WastedEager))
 		}
@@ -135,18 +131,6 @@ func runExt3(o Options) error {
 		Title:  fmt.Sprintf("Extension 3: parameter ablations (%s, BE-Mellow+SC)", workload),
 		Header: []string{"variant", "IPC", "lifetime (y)", "eager done", "drain time", "gap moves"},
 	}
-	addRow := func(label string, cfg cfgMutator) error {
-		c := o.Cfg
-		cfg(&c)
-		r, err := runOne(o, c, spec, workload)
-		if err != nil {
-			return err
-		}
-		t.AddRow(label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
-			fmt.Sprintf("%d", r.Mem.EagerDone), stats.Pct(r.Mem.DrainFraction),
-			fmt.Sprintf("%d", r.Mem.GapMoves))
-		return nil
-	}
 	cases := []struct {
 		label string
 		mut   cfgMutator
@@ -163,10 +147,19 @@ func runExt3(o Options) error {
 		{"profile period 100us", func(c *configT) { c.Caches.ProfilePeriod /= 5 }},
 		{"useless threshold 1/8", func(c *configT) { c.Caches.UselessHitRatio = 1.0 / 8.0 }},
 	}
-	for _, cse := range cases {
-		if err := addRow(cse.label, cse.mut); err != nil {
-			return err
-		}
+	jobs := make([]job, len(cases))
+	for i, cse := range cases {
+		jobs[i] = job{cfg: o.Cfg, spec: spec, workload: workload}
+		cse.mut(&jobs[i].cfg)
+	}
+	res, err := runAll(o, jobs)
+	if err != nil {
+		return err
+	}
+	for i, r := range res {
+		t.AddRow(cases[i].label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
+			fmt.Sprintf("%d", r.Mem.EagerDone), stats.Pct(r.Mem.DrainFraction),
+			fmt.Sprintf("%d", r.Mem.GapMoves))
 	}
 	return t.Fprint(o.Out)
 }
@@ -190,7 +183,7 @@ func runExt4(o Options) error {
 			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
 		}
 	}
-	res, err := runAll(o, jobs)
+	res, err := runSweep(o, jobs)
 	if err != nil {
 		return err
 	}
@@ -326,7 +319,7 @@ func runExt7(o Options) error {
 				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
 			}
 		}
-		res, err := runAll(o, jobs)
+		res, err := runSweep(o, jobs)
 		if err != nil {
 			return err
 		}
@@ -368,7 +361,7 @@ func runExt8(o Options) error {
 			for _, s := range specs {
 				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
 			}
-			res, err := runAll(o, jobs)
+			res, err := runSweep(o, jobs)
 			if err != nil {
 				return err
 			}

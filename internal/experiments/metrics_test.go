@@ -19,15 +19,15 @@ func runInstrumented(t *testing.T, seed uint64) *metrics.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, snap, err := RunInstrumented(context.Background(), tinyConfig(seed), spec, "stream",
+	ins, err := Run(context.Background(), builtinCell(t, tinyConfig(seed), spec, "stream"),
 		Observation{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
-		t.Fatal("RunInstrumented with Metrics returned no snapshot")
+	if ins.Metrics == nil {
+		t.Fatal("Run with Metrics returned no snapshot")
 	}
-	return snap
+	return ins.Metrics
 }
 
 // TestRunInstrumentedPreservesResult pins the per-run collector
@@ -41,16 +41,17 @@ func TestRunInstrumentedPreservesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunCached(context.Background(), cfg, spec, "stream")
+	c := builtinCell(t, cfg, spec, "stream")
+	plain, err := Run(context.Background(), c, Observation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, _, snap, err := RunInstrumented(context.Background(), cfg, spec, "stream",
-		Observation{Metrics: true})
+	instr, err := Run(context.Background(), c, Observation{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, instr) {
+	snap := instr.Metrics
+	if !reflect.DeepEqual(plain.Result, instr.Result) {
 		t.Error("instrumented result differs from plain result")
 	}
 	if snap == nil || len(snap.Families) == 0 {

@@ -118,7 +118,7 @@ func runFig2(o Options) error {
 			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
 		}
 	}
-	res, err := runAll(o, jobs)
+	res, err := runSweep(o, jobs)
 	if err != nil {
 		return err
 	}
@@ -155,7 +155,7 @@ func runFig3(o Options) error {
 	for _, w := range o.workloads() {
 		jobs = append(jobs, job{cfg: o.Cfg, spec: policy.Norm(), workload: w})
 	}
-	res, err := runAll(o, jobs)
+	res, err := runSweep(o, jobs)
 	if err != nil {
 		return err
 	}

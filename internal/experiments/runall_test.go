@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"sync"
 	"testing"
 
 	"mellow/internal/policy"
 	"mellow/internal/sched"
+	"mellow/internal/sim"
 )
 
 // TestRunAllProgressOnError: a failing simulation must still advance
@@ -24,7 +26,7 @@ func TestRunAllProgressOnError(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls [][2]int
-	o := Options{Cfg: cfg, Parallel: 1, OnProgress: func(done, total int) {
+	o := Options{Cfg: cfg, OnProgress: func(done, total int) {
 		mu.Lock()
 		calls = append(calls, [2]int{done, total})
 		mu.Unlock()
@@ -45,7 +47,7 @@ func TestRunAllProgressOnError(t *testing.T) {
 }
 
 // TestBudgetBoundsConcurrentSims is the scheduler acceptance check at
-// the harness level: with budget B, hammering RunCached from many
+// the harness level: with budget B, hammering Run from many
 // goroutines never executes more than B simulations at once. Run with
 // -race in CI.
 func TestBudgetBoundsConcurrentSims(t *testing.T) {
@@ -58,12 +60,11 @@ func TestBudgetBoundsConcurrentSims(t *testing.T) {
 	workloads := []string{"stream", "gups", "mcf", "lbm", "milc", "hmmer"}
 	var wg sync.WaitGroup
 	for i, w := range workloads {
-		w := w
-		cfg := tinyConfig(uint64(400 + i)) // distinct keys: no memo reuse
+		c := builtinCell(t, tinyConfig(uint64(400+i)), policy.Norm(), w) // distinct keys: no memo reuse
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := RunCached(context.Background(), cfg, policy.Norm(), w); err != nil {
+			if _, err := Run(context.Background(), c, Observation{}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -79,5 +80,37 @@ func TestBudgetBoundsConcurrentSims(t *testing.T) {
 	}
 	if st.PeakRunning == 0 {
 		t.Fatal("no simulation ever held a scheduler slot")
+	}
+}
+
+// TestExt3ObservedReportsEverySimulation: an observed experiment hands
+// a series to OnSeries for every simulation it runs, and its progress
+// reaches the total. ext3's ablation rows share one (policy, workload)
+// pair, so they must be slotted by job index, not keyed by that pair.
+func TestExt3ObservedReportsEverySimulation(t *testing.T) {
+	ResetCache()
+	e, err := ByID("ext3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var series int
+	var last [2]int
+	o := Options{
+		Cfg:        tinyConfig(17),
+		Out:        io.Discard,
+		Workloads:  []string{"gups"},
+		Epoch:      sim.NS(5_000),
+		OnSeries:   func(SeriesRecord) { series++ },
+		OnProgress: func(done, total int) { last = [2]int{done, total} },
+	}
+	if err := e.Run(o); err != nil {
+		t.Fatal(err)
+	}
+	sims := int(CacheSnapshot().Misses)
+	if sims == 0 || series != sims {
+		t.Errorf("OnSeries fired %d times for %d simulations", series, sims)
+	}
+	if last[0] == 0 || last[0] != last[1] {
+		t.Errorf("last progress = %d/%d, want done == total", last[0], last[1])
 	}
 }

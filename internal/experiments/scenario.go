@@ -3,43 +3,19 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"mellow/internal/config"
-	"mellow/internal/core"
 	"mellow/internal/policy"
 	"mellow/internal/scenario"
 	"mellow/internal/trace"
 )
 
-// RunSpecCached is RunCached for inline declarative workloads: the memo
-// key carries the spec's content hash (plus its result label), so two
-// scenarios declaring the same generator share one simulation while
-// distinct parameterizations never collide. Builtin-name workloads
-// should keep using RunCached — their keys are shared with the figure
-// sweeps.
-func RunSpecCached(ctx context.Context, cfg config.Config, spec policy.Spec, name string, ts trace.Spec) (core.Result, error) {
-	h, err := ts.Hash()
-	if err != nil {
-		return core.Result{}, err
-	}
-	w, err := ts.Workload(name, 0)
-	if err != nil {
-		return core.Result{}, err
-	}
-	key := keyFor(cfg, spec, "spec:"+name+":"+h, 0, false, false, false)
-	c, err := memo.do(ctx, key, func() (cached, error) {
-		r, err := core.RunWorkloadContext(ctx, cfg, spec, w)
-		return cached{res: r}, err
-	})
-	return c.res, err
-}
-
 // RunScenario executes one declarative scenario: the workload × leveler
 // × policy matrix fans out in parallel through the memoised sched-
 // governed simulation path, and the cells land in matrix order so the
-// result document is deterministic. onProgress (optional) fires after
-// every completed cell.
+// result document is deterministic. Each workload is resolved once:
+// builtins through trace.ByName, inline specs through Spec.Workload.
+// onProgress (optional) fires after every attempted cell.
 func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, onProgress func(done, total int)) (*scenario.Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -52,62 +28,49 @@ func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario,
 	if err != nil {
 		return nil, err
 	}
-	cells := sc.Cells()
-	out := &scenario.Result{Scenario: sc.Name, Key: key, Cells: make([]scenario.CellResult, len(cells))}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     int
-	)
-	for i, cell := range cells {
-		if err := ctx.Err(); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			break
+	workloads := make(map[string]trace.Workload, len(sc.Workloads))
+	for _, ref := range sc.Workloads {
+		var w trace.Workload
+		if ref.Spec != nil {
+			w, err = ref.Spec.Workload(ref.Name, 0)
+		} else {
+			w, err = trace.ByName(ref.Name)
 		}
-		wg.Add(1)
-		go func(i int, cell scenario.Cell) {
-			defer wg.Done()
-			ccfg := cfg
-			if cell.Leveler != "" {
-				ccfg.Memory.WearLeveler = cell.Leveler
-			}
-			pspec, err := policy.Parse(cell.Policy)
-			var r core.Result
-			if err == nil {
-				if cell.Workload.Spec != nil {
-					r, err = RunSpecCached(ctx, ccfg, pspec, cell.Workload.Name, *cell.Workload.Spec)
-				} else {
-					r, err = RunCached(ctx, ccfg, pspec, cell.Workload.Name)
-				}
-			}
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				out.Cells[i] = scenario.CellResult{
-					Workload: cell.Workload.Name,
-					Leveler:  cell.Leveler,
-					Policy:   cell.Policy,
-					Result:   r,
-				}
-			}
-			done++
-			if onProgress != nil {
-				onProgress(done, len(cells))
-			}
-			mu.Unlock()
-		}(i, cell)
+		if err != nil {
+			return nil, err
+		}
+		workloads[ref.Name] = w
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	cells := sc.Cells()
+	attempted := 0
+	res, err := FanOut(ctx, len(cells), func(ctx context.Context, i int) (Instrumented, error) {
+		cell := cells[i]
+		pspec, err := policy.Parse(cell.Policy)
+		if err != nil {
+			return Instrumented{}, err
+		}
+		c := Cell{Cfg: cfg, Policy: pspec, Workload: workloads[cell.Workload.Name]}
+		if cell.Leveler != "" {
+			c.Cfg.Memory.WearLeveler = cell.Leveler
+		}
+		return Run(ctx, c, Observation{})
+	}, func(int, Instrumented, error) {
+		attempted++
+		if onProgress != nil {
+			onProgress(attempted, len(cells))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &scenario.Result{Scenario: sc.Name, Key: key, Cells: make([]scenario.CellResult, len(cells))}
+	for i, cell := range cells {
+		out.Cells[i] = scenario.CellResult{
+			Workload: cell.Workload.Name,
+			Leveler:  cell.Leveler,
+			Policy:   cell.Policy,
+			Result:   res[i].Result,
+		}
 	}
 	return out, nil
 }

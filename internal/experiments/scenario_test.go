@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mellow/internal/config"
+	"mellow/internal/core"
 	"mellow/internal/policy"
 	"mellow/internal/scenario"
 	"mellow/internal/trace"
@@ -24,8 +25,8 @@ func scenarioBase() config.Config {
 	return cfg
 }
 
-// A scenario cell for a builtin workload must report exactly what the
-// figure sweeps' RunCached reports — one simulation path, one result.
+// A scenario cell for a builtin workload must report exactly what Run
+// reports for the figure sweeps — one simulation path, one result.
 func TestRunScenarioMatchesRunCached(t *testing.T) {
 	ResetCache()
 	base := scenarioBase()
@@ -46,18 +47,19 @@ func TestRunScenarioMatchesRunCached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunCached(context.Background(), base, pspec, cell.Workload)
+		want, err := Run(context.Background(), builtinCell(t, base, pspec, cell.Workload), Observation{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(cell.Result, want) {
-			t.Errorf("%s/%s: scenario result differs from RunCached", cell.Workload, cell.Policy)
+		if !reflect.DeepEqual(cell.Result, want.Result) {
+			t.Errorf("%s/%s: scenario result differs from Run", cell.Workload, cell.Policy)
 		}
 	}
 }
 
 // An inline spec spelling out a builtin's exact parameterization must
-// reproduce the builtin's result bit for bit, through its own memo key.
+// reproduce the builtin's result bit for bit: under another name through
+// its own memo key, under the builtin's name as a memo hit.
 func TestInlineSpecMatchesBuiltin(t *testing.T) {
 	ResetCache()
 	base := scenarioBase()
@@ -69,23 +71,41 @@ func TestInlineSpecMatchesBuiltin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline, err := RunSpecCached(context.Background(), base, pspec, "my-gups", spec)
+	run := func(name string) core.Result {
+		t.Helper()
+		w, err := spec.Workload(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := Run(context.Background(), Cell{Cfg: base, Policy: pspec, Workload: w}, Observation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ins.Result
+	}
+	inline := run("my-gups")
+	builtin, err := Run(context.Background(), builtinCell(t, base, pspec, "gups"), Observation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtin, err := RunCached(context.Background(), base, pspec, "gups")
-	if err != nil {
-		t.Fatal(err)
+	if st := CacheSnapshot(); st.Misses != 2 {
+		t.Fatalf("misses = %d, want 2 (the label enters the key)", st.Misses)
 	}
 	// Everything but the label matches.
-	inline.Workload = builtin.Workload
-	if !reflect.DeepEqual(inline, builtin) {
+	inline.Workload = builtin.Result.Workload
+	if !reflect.DeepEqual(inline, builtin.Result) {
 		t.Fatal("inline gups spec result differs from the builtin workload")
+	}
+	if same := run("gups"); !reflect.DeepEqual(same, builtin.Result) {
+		t.Fatal("inline spec under the builtin's name differs from the builtin")
+	}
+	if st := CacheSnapshot(); st.Misses != 2 {
+		t.Errorf("misses = %d, want 2 (same name and spec share the builtin's key)", st.Misses)
 	}
 }
 
-// RunSpecCached memoises on the spec's content hash: a second call must
-// not simulate again.
+// Run memoises an inline spec on its content hash: a second call with a
+// separately built workload of the same spec must not simulate again.
 func TestRunSpecCachedMemoises(t *testing.T) {
 	ResetCache()
 	base := scenarioBase()
@@ -94,20 +114,34 @@ func TestRunSpecCachedMemoises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunSpecCached(context.Background(), base, pspec, "w", spec)
-	if err != nil {
-		t.Fatal(err)
+	run := func() core.Result {
+		t.Helper()
+		w, err := spec.Workload("w", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := Run(context.Background(), Cell{Cfg: base, Policy: pspec, Workload: w}, Observation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ins.Result
 	}
+	r1 := run()
 	before := CacheSnapshot().Hits
-	r2, err := RunSpecCached(context.Background(), base, pspec, "w", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r2) {
+	if r2 := run(); !reflect.DeepEqual(r1, r2) {
 		t.Fatal("memoised result differs")
 	}
 	if CacheSnapshot().Hits <= before {
-		t.Fatal("second RunSpecCached missed the memo cache")
+		t.Fatal("second run of the spec missed the memo cache")
+	}
+
+	// A workload without a spec has no memo identity.
+	fr, err := trace.FromReader("r", strings.NewReader("0 40 R\n"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), Cell{Cfg: base, Policy: pspec, Workload: fr}, Observation{}); err == nil {
+		t.Fatal("Run accepted a workload without a spec")
 	}
 }
 

@@ -27,7 +27,7 @@ func runFig17(o Options) error {
 				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
 			}
 		}
-		res, err := runAll(o, jobs)
+		res, err := runSweep(o, jobs)
 		if err != nil {
 			return err
 		}
@@ -68,7 +68,7 @@ func runFig18(o Options) error {
 		for _, s := range specs {
 			jobs = append(jobs, job{cfg: cfg, spec: s, workload: workload})
 		}
-		res, err := runAll(o, jobs)
+		res, err := runSweep(o, jobs)
 		if err != nil {
 			return err
 		}
@@ -110,7 +110,7 @@ func runFig19(o Options) error {
 			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
 		}
 	}
-	res, err := runAll(o, jobs)
+	res, err := runSweep(o, jobs)
 	if err != nil {
 		return err
 	}

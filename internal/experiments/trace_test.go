@@ -11,7 +11,7 @@ import (
 
 // TestTracedBitIdentical pins the trace-determinism contract at the
 // memoised layer: a run with Trace set yields a result byte-identical
-// to the plain RunCached result for the same (config, policy,
+// to the plain untraced result for the same (config, policy,
 // workload), while also producing a finalized timeline.
 func TestTracedBitIdentical(t *testing.T) {
 	ResetCache()
@@ -20,15 +20,16 @@ func TestTracedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunCached(context.Background(), cfg, spec, "gups")
+	c := builtinCell(t, cfg, spec, "gups")
+	plain, err := Run(context.Background(), c, Observation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := RunFull(context.Background(), cfg, spec, "gups", Observation{Trace: true})
+	ins, err := Run(context.Background(), c, Observation{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, ins.Result) {
+	if !reflect.DeepEqual(plain.Result, ins.Result) {
 		t.Error("traced result differs from untraced run")
 	}
 	if ins.Trace == nil || len(ins.Trace.Events) == 0 {
@@ -44,7 +45,7 @@ func TestTracedBitIdentical(t *testing.T) {
 	}
 
 	// An identical traced run is a memo hit sharing the same timeline.
-	again, err := RunFull(context.Background(), cfg, spec, "gups", Observation{Trace: true})
+	again, err := Run(context.Background(), c, Observation{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestTracedCancellationDiscards(t *testing.T) {
 	base := xtrace.ActiveCount()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunFull(ctx, cfg, spec, "stream", Observation{Trace: true}); err != context.Canceled {
+	if _, err := Run(ctx, builtinCell(t, cfg, spec, "stream"), Observation{Trace: true}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := xtrace.ActiveCount(); got != base {

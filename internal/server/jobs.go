@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +16,7 @@ import (
 	"mellow/internal/metrics"
 	"mellow/internal/policy"
 	"mellow/internal/sim"
+	"mellow/internal/trace"
 	"mellow/internal/xtrace"
 )
 
@@ -50,8 +51,9 @@ type jobState struct {
 	// jobs submitted with "trace": true (nil otherwise; every recording
 	// call is nil-safe).
 	spans *xtrace.SpanRecorder
-	// traces collects each simulation's execution timeline. runJob's
-	// workers write disjoint slots; readers wait for done to close.
+	// traces collects each simulation's execution timeline. runJob
+	// fills it once the simulations finish; readers wait for done to
+	// close.
 	traces []*xtrace.SimTrace
 }
 
@@ -197,27 +199,22 @@ func (j *jobState) status(deduped bool) JobStatus {
 // under several configs — tie-broken by their full JSON encoding, so
 // any remaining ties are byte-identical and order-irrelevant.
 func sortSeriesRecords(records []experiments.SeriesRecord) {
-	keys := make([]string, len(records))
+	type keyed struct {
+		key string
+		rec experiments.SeriesRecord
+	}
+	ks := make([]keyed, len(records))
 	for i, r := range records {
 		b, err := json.Marshal(r)
 		if err != nil {
 			b = []byte(r.Workload + "/" + r.Policy)
 		}
-		keys[i] = r.Workload + "\x00" + r.Policy + "\x00" + string(b)
+		ks[i] = keyed{key: r.Workload + "\x00" + r.Policy + "\x00" + string(b), rec: r}
 	}
-	sort.Sort(&recordSorter{records: records, keys: keys})
-}
-
-type recordSorter struct {
-	records []experiments.SeriesRecord
-	keys    []string
-}
-
-func (s *recordSorter) Len() int           { return len(s.records) }
-func (s *recordSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *recordSorter) Swap(i, j int) {
-	s.records[i], s.records[j] = s.records[j], s.records[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		records[i] = k.rec
+	}
 }
 
 // runJob executes one job's simulations through the memoised harness,
@@ -225,13 +222,13 @@ func (s *recordSorter) Swap(i, j int) {
 // positive interval_ns runs them observed: per-epoch series land in the
 // result and the jobState's progress trackers feed the status API live.
 //
-// Sim and compare matrices fan out in parallel; the process-wide
-// scheduler (internal/sched) bounds total concurrent simulations across
-// every job, so the fan-out cannot oversubscribe the machine. Each
-// matrix cell writes its result (and series) into a slot fixed by its
-// (workload, policy) loop index, so the payload keeps the exact
-// sequential ordering — equal keys still yield equal bytes no matter
-// which cells finish first.
+// Sim and compare matrices fan out in parallel through
+// experiments.FanOut; the process-wide scheduler (internal/sched) bounds
+// total concurrent simulations across every job, so the fan-out cannot
+// oversubscribe the machine. Each matrix cell's result (and series)
+// lands in the slot of its (workload, policy) loop index, so the payload
+// keeps the exact sequential ordering — equal keys still yield equal
+// bytes no matter which cells finish first.
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
@@ -241,117 +238,87 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		type cell struct {
 			workload string
 			policy   string
-			spec     policy.Spec
+			c        experiments.Cell
 		}
 		cells := make([]cell, 0, len(canon.Workloads)*len(canon.Policies))
 		for _, w := range canon.Workloads {
+			wl, err := trace.ByName(w)
+			if err != nil {
+				return nil, err
+			}
 			for _, p := range canon.Policies {
 				spec, err := policy.Parse(p)
 				if err != nil {
 					return nil, err
 				}
-				cells = append(cells, cell{workload: w, policy: p, spec: spec})
+				cells = append(cells, cell{workload: w, policy: p,
+					c: experiments.Cell{Cfg: canon.Config, Policy: spec, Workload: wl}})
 			}
 		}
 		js.progress.setTotal(len(cells))
 
-		// The first failure cancels the siblings; every cell still
-		// retires through endSim, so a failed job's progress accounts
-		// for all attempted work instead of freezing mid-matrix.
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		results := make([]core.Result, len(cells))
-		var series []experiments.SeriesRecord
-		if epoch > 0 {
-			series = make([]experiments.SeriesRecord, len(cells))
-		}
-		var snaps []*metrics.Snapshot
-		if canon.Metrics {
-			snaps = make([]*metrics.Snapshot, len(cells))
-		}
-		var traces []*xtrace.SimTrace
+		// Every cell retires through endSim, failed and cancelled ones
+		// too, so a failed job's progress accounts for all attempted work
+		// instead of freezing mid-matrix.
+		ins, err := experiments.FanOut(ctx, len(cells), func(ctx context.Context, i int) (experiments.Instrumented, error) {
+			cl := cells[i]
+			var tr *engine.Tracker
+			if epoch > 0 {
+				tr = &engine.Tracker{}
+			}
+			js.progress.beginSim(tr)
+			cellStart := time.Now()
+			ob := experiments.Observation{Epoch: epoch, Tracker: tr,
+				Metrics: canon.Metrics, Trace: canon.Trace}
+			// streamed counts this cell's live epoch events. OnEpoch only
+			// fires when this goroutine executes the simulation itself; a
+			// memo hit or a joined in-flight run streams nothing live and
+			// flushes the whole memoised series below — either way the
+			// cell's epoch-event subsequence is exactly the series the
+			// result embeds.
+			streamed := 0
+			if epoch > 0 && js.stream != nil {
+				ob.OnEpoch = func(s engine.EpochSample) {
+					streamed++
+					js.stream.epoch(i, cl.workload, cl.policy, s)
+				}
+			}
+			r, err := experiments.Run(ctx, cl.c, ob)
+			js.spans.Span("sim "+cl.workload+"/"+cl.policy, "cell",
+				cellStart, time.Now(), "workload", cl.workload, "policy", cl.policy)
+			js.progress.endSim(tr)
+			if err == nil && epoch > 0 {
+				js.stream.flushSeries(i, cl.workload, cl.policy, r.Series, streamed)
+			}
+			return r, err
+		}, nil)
 		if canon.Trace {
-			traces = make([]*xtrace.SimTrace, len(cells))
+			js.traces = make([]*xtrace.SimTrace, len(cells))
+			for i := range ins {
+				js.traces[i] = ins[i].Trace
+			}
 		}
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		for i, cl := range cells {
-			i, cl := i, cl
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var err error
-				if epoch > 0 || canon.Metrics || canon.Trace {
-					var tr *engine.Tracker
-					if epoch > 0 {
-						tr = &engine.Tracker{}
-					}
-					js.progress.beginSim(tr)
-					cellStart := time.Now()
-					ob := experiments.Observation{Epoch: epoch, Tracker: tr,
-						Metrics: canon.Metrics, Trace: canon.Trace}
-					// streamed counts this cell's live epoch events. OnEpoch
-					// only fires when this goroutine executes the simulation
-					// itself; a memo hit or a joined in-flight run streams
-					// nothing live and flushes the whole memoised series
-					// below — either way the cell's epoch-event subsequence
-					// is exactly the series the result embeds.
-					streamed := 0
-					if epoch > 0 && js.stream != nil {
-						ob.OnEpoch = func(s engine.EpochSample) {
-							streamed++
-							js.stream.epoch(i, cl.workload, cl.policy, s)
-						}
-					}
-					var ins experiments.Instrumented
-					ins, err = experiments.RunFull(runCtx, canon.Config, cl.spec, cl.workload, ob)
-					js.spans.Span("sim "+cl.workload+"/"+cl.policy, "cell",
-						cellStart, time.Now(), "workload", cl.workload, "policy", cl.policy)
-					js.progress.endSim(tr)
-					if err == nil {
-						results[i] = ins.Result
-						if epoch > 0 {
-							series[i] = experiments.SeriesRecord{
-								Workload: cl.workload, Policy: cl.policy, Series: ins.Series}
-							js.stream.flushSeries(i, cl.workload, cl.policy, ins.Series, streamed)
-						}
-						if canon.Metrics {
-							snaps[i] = ins.Metrics
-						}
-						if canon.Trace {
-							traces[i] = ins.Trace
-						}
-					}
-				} else {
-					var r core.Result
-					r, err = experiments.RunCached(runCtx, canon.Config, cl.spec, cl.workload)
-					js.progress.endSim(nil)
-					if err == nil {
-						results[i] = r
-					}
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
-				}
-			}()
-		}
-		wg.Wait()
-		js.traces = traces
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		renderStart := time.Now()
-		out.Results = results
-		out.Series = series
-		out.Metrics = snaps
+		out.Results = make([]core.Result, len(cells))
+		if epoch > 0 {
+			out.Series = make([]experiments.SeriesRecord, len(cells))
+		}
+		if canon.Metrics {
+			out.Metrics = make([]*metrics.Snapshot, len(cells))
+		}
+		for i, cl := range cells {
+			out.Results[i] = ins[i].Result
+			if epoch > 0 {
+				out.Series[i] = experiments.SeriesRecord{
+					Workload: cl.workload, Policy: cl.policy, Series: ins[i].Series}
+			}
+			if canon.Metrics {
+				out.Metrics[i] = ins[i].Metrics
+			}
+		}
 		js.spans.Span("render", "job", renderStart, time.Now())
 	case KindExperiment:
 		e, err := experiments.ByID(canon.Experiment)

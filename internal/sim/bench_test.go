@@ -35,16 +35,6 @@ func BenchmarkKernelSchedule(b *testing.B) {
 		}
 		k.Drain()
 	})
-	b.Run("closure", func(b *testing.B) {
-		// The legacy closure path, for comparison against AtEvent.
-		var k Kernel
-		fn := func(Tick) {}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k.After(1, fn)
-			k.AdvanceTo(k.Now() + 1)
-		}
-	})
 }
 
 type nopHandler struct{}

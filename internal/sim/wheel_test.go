@@ -151,8 +151,14 @@ type scheduler interface {
 	drainAll()
 }
 
-func (k *Kernel) drainAll()    { k.Drain() }
-func (k *refKernel) drainAll() { k.Drain() }
+// wheelKernel drives the timer-wheel Kernel through the closure-shaped
+// scheduler interface.
+type wheelKernel struct{ *Kernel }
+
+func (k wheelKernel) At(t Tick, fn Event)    { k.AtEvent(t, tickFunc(fn), 0, 0) }
+func (k wheelKernel) After(d Tick, fn Event) { k.AfterEvent(d, tickFunc(fn), 0, 0) }
+func (k wheelKernel) drainAll()              { k.Drain() }
+func (k *refKernel) drainAll()               { k.Drain() }
 
 // randomSchedule drives one kernel through a seeded random workload:
 // events at random offsets (same-tick collisions are frequent by
@@ -228,7 +234,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 		seeds = 10
 	}
 	for seed := 0; seed < seeds; seed++ {
-		got := randomSchedule(&Kernel{}, int64(seed))
+		got := randomSchedule(wheelKernel{&Kernel{}}, int64(seed))
 		want := randomSchedule(&refKernel{}, int64(seed))
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: wheel fired %d callbacks, reference %d", seed, len(got), len(want))
@@ -249,9 +255,9 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 func TestWheelHorizonBoundary(t *testing.T) {
 	var k Kernel
 	var order []int
-	k.At(wheelSlots, func(Tick) { order = append(order, 2) })   // overflow
-	k.At(wheelSlots-1, func(Tick) { order = append(order, 1) }) // wheel
-	k.At(wheelSlots, func(Tick) { order = append(order, 3) })   // overflow, later seq
+	k.AtEvent(wheelSlots, tickFunc(func(Tick) { order = append(order, 2) }), 0, 0)   // overflow
+	k.AtEvent(wheelSlots-1, tickFunc(func(Tick) { order = append(order, 1) }), 0, 0) // wheel
+	k.AtEvent(wheelSlots, tickFunc(func(Tick) { order = append(order, 3) }), 0, 0)   // overflow, later seq
 	k.Drain()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order across the wheel horizon = %v, want [1 2 3]", order)
@@ -267,12 +273,12 @@ func TestOverflowMigrationSeqOrder(t *testing.T) {
 	var k Kernel
 	var order []int
 	target := Tick(wheelSlots + 100)
-	k.At(target, func(Tick) { order = append(order, 1) }) // overflows (seq 1)
-	k.At(200, func(Tick) {
+	k.AtEvent(target, tickFunc(func(Tick) { order = append(order, 1) }), 0, 0) // overflows (seq 1)
+	k.AtEvent(200, tickFunc(func(Tick) {
 		// now = 200: target is inside the window, so this goes straight
 		// into the bucket — but the seq-1 event may still sit in overflow.
-		k.At(target, func(Tick) { order = append(order, 2) })
-	})
+		k.AtEvent(target, tickFunc(func(Tick) { order = append(order, 2) }), 0, 0)
+	}), 0, 0)
 	k.Drain()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("migrated/direct same-tick order = %v, want [1 2]", order)
@@ -283,9 +289,9 @@ func TestOverflowMigrationSeqOrder(t *testing.T) {
 func TestPendingIsO1AndExact(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 100; i++ {
-		k.At(Tick(i*7), func(Tick) {})
+		k.AtEvent(Tick(i*7), tickFunc(func(Tick) {}), 0, 0)
 	}
-	k.At(Tick(1e6), func(Tick) {}) // overflow entry
+	k.AtEvent(Tick(1e6), tickFunc(func(Tick) {}), 0, 0) // overflow entry
 	if got := k.Pending(); got != 101 {
 		t.Fatalf("Pending = %d, want 101", got)
 	}
@@ -312,14 +318,15 @@ func (h *countingHandler) OnEvent(now Tick, a, b uint64) {
 	}
 }
 
-// TestTypedEventsInterleaveWithClosures checks AtEvent shares the clock,
-// ordering and seq stream with At.
+// TestTypedEventsInterleaveWithClosures checks that events of different
+// handlers — a stateful handler re-arming itself and an adapted plain
+// callback — share one clock, ordering and seq stream.
 func TestTypedEventsInterleaveWithClosures(t *testing.T) {
 	var k Kernel
 	h := &countingHandler{k: &k}
 	var closures []Tick
 	k.AtEvent(5, h, 0, 7)
-	k.At(5, func(now Tick) { closures = append(closures, now) })
+	k.AtEvent(5, tickFunc(func(now Tick) { closures = append(closures, now) }), 0, 0)
 	k.AtEvent(5, h, 1, 9)
 	k.Drain()
 	// Chained: (0,7) at 5 → (1,7) at 15 → (2,7) at 25 → (3,7) at 35, and
@@ -347,8 +354,8 @@ func TestTypedEventsInterleaveWithClosures(t *testing.T) {
 func TestSlabRecyclesSlots(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 10_000; i++ {
-		k.After(3, func(Tick) {})
-		k.After(7, func(Tick) {})
+		k.AfterEvent(3, tickFunc(func(Tick) {}), 0, 0)
+		k.AfterEvent(7, tickFunc(func(Tick) {}), 0, 0)
 		k.AdvanceTo(k.Now() + 10)
 	}
 	if len(k.slab) > 16 {

@@ -266,14 +266,14 @@ func (sp Spec) Hash() (string, error) {
 // results; targetMPKI may be zero if unknown. Replay specs parse once
 // here, so New never fails afterwards. A hot set's Zipf parameters are
 // built on the first New and shared by every later generator of the
-// returned Workload; nothing is computed here, so loading a spec stays
-// cheap.
+// returned Workload, and the spec's hash on the first SpecHash; nothing
+// is computed here, so loading a spec stays cheap.
 func (sp Spec) Workload(name string, targetMPKI float64) (Workload, error) {
 	n := sp.Normalize()
 	if err := n.Validate(); err != nil {
 		return Workload{}, err
 	}
-	w := Workload{Name: name, TargetMPKI: targetMPKI, Spec: &n}
+	w := Workload{Name: name, TargetMPKI: targetMPKI, Spec: &n, hash: sync.OnceValues(n.Hash)}
 	if n.Kind == KindReplay {
 		ops, err := ParseOps(strings.NewReader(n.Data))
 		if err != nil {

@@ -384,6 +384,22 @@ func TestSpecCanonicalJSONStable(t *testing.T) {
 	if h1 != h2 || len(h1) != 64 {
 		t.Fatalf("hashes differ or malformed: %s vs %s", h1, h2)
 	}
+	// A Workload built from the spec carries the same identity; one read
+	// from a trace has none.
+	w, err := sp.Workload("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := w.SpecHash(); err != nil || h != h1 {
+		t.Fatalf("Workload.SpecHash = %q, %v; want %q", h, err, h1)
+	}
+	fr, err := FromReader("r", strings.NewReader("0 40 R\n"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.SpecHash(); err == nil {
+		t.Fatal("SpecHash of a workload without a spec succeeded")
+	}
 }
 
 func TestSpecValidate(t *testing.T) {

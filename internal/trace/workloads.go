@@ -19,6 +19,18 @@ type Workload struct {
 	// from (normalized), nil for workloads constructed directly from a
 	// reader. Shared: callers must not modify it.
 	Spec *Spec
+
+	hash func() (string, error) // Spec.Hash, computed once (Spec.Workload)
+}
+
+// SpecHash returns the content hash of the workload's Spec — its
+// identity for memoisation — or an error for a workload not built by
+// Spec.Workload (FromReader).
+func (w Workload) SpecHash() (string, error) {
+	if w.hash == nil {
+		return "", fmt.Errorf("trace: workload %q has no spec", w.Name)
+	}
+	return w.hash()
 }
 
 // MB is a byte-count helper for workload definitions.

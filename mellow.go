@@ -40,13 +40,18 @@ type Result = core.Result
 
 // Run simulates the named workload under the policy and configuration.
 func Run(cfg Config, p Policy, workload string) (Result, error) {
-	return core.Run(cfg, p, workload)
+	return RunContext(context.Background(), cfg, p, workload)
 }
 
 // RunContext is Run with cancellation: the simulation aborts at its
 // next checkpoint once ctx is cancelled or times out.
 func RunContext(ctx context.Context, cfg Config, p Policy, workload string) (Result, error) {
-	return core.RunContext(ctx, cfg, p, workload)
+	w, err := trace.ByName(workload)
+	if err != nil {
+		return Result{}, err
+	}
+	r, _, err := core.Simulate(ctx, cfg, p, w, engine.Options{})
+	return r, err
 }
 
 // Tick is the simulation time unit: 0.5 ns of simulated time.
@@ -94,7 +99,15 @@ type TraceDoc = xtrace.Doc
 // and the series is deterministic: same (config, policy, workload,
 // observation) → same samples. Runs are memoised like RunExperiment's.
 func RunObserved(ctx context.Context, cfg Config, p Policy, workload string, ob Observation) (Result, []EpochSample, error) {
-	return experiments.RunObserved(ctx, cfg, p, workload, ob)
+	w, err := trace.ByName(workload)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	if ob.Epoch == 0 {
+		ob.Epoch = DefaultEpoch
+	}
+	ins, err := experiments.Run(ctx, experiments.Cell{Cfg: cfg, Policy: p, Workload: w}, ob)
+	return ins.Result, ins.Series, err
 }
 
 // WriteSeries encodes an epoch series as deterministic JSON.
@@ -119,7 +132,8 @@ func WorkloadFromReader(name string, r io.Reader) (Workload, error) {
 
 // RunWorkload simulates an explicit Workload (e.g. from a trace file).
 func RunWorkload(cfg Config, p Policy, w Workload) (Result, error) {
-	return core.RunWorkload(cfg, p, w)
+	r, _, err := core.Simulate(context.Background(), cfg, p, w, engine.Options{})
+	return r, err
 }
 
 // MixResult is the outcome of a multiprogrammed simulation: several
