@@ -113,6 +113,12 @@ type Core struct {
 	loadMSHRs int // demand loads (L1 miss-status file)
 	mshrLimit int // every outstanding memory read (LLC MSHRs)
 
+	// The core holds every read request it keeps past the step that
+	// submitted it, and releases it to the controller when it lets go
+	// (mem.Controller.Retain/Release). The holders are the ROB loads
+	// (loads with its loadReqs mirror, one holder), fetches, the
+	// prefetcher's inflight/index pair, and lastLoadReq; a demand miss
+	// under an in-flight prefetch shares the prefetch's request.
 	cycles   float64 // dispatch/retire cursor, in cycles (= ticks)
 	instrs   uint64
 	loads    loadRing       // FIFO of ROB-resident loads
@@ -146,15 +152,6 @@ func New(cfg config.Config, hier *cache.Hierarchy, ctl *mem.Controller, gen trac
 // now returns the dispatch cursor as a tick.
 func (c *Core) now() sim.Tick { return sim.Tick(c.cycles) }
 
-// complete resolves a pending load's completion time, advancing the
-// memory clock as needed.
-func (c *Core) complete(p pendingLoad) sim.Tick {
-	if p.req == nil {
-		return p.fallback
-	}
-	return c.ctl.WaitRead(p.req)
-}
-
 // sweep retires finished loads and fetches from the head of the queues
 // without waiting.
 func (c *Core) sweep() {
@@ -167,11 +164,13 @@ func (c *Core) sweep() {
 		} else if p.fallback > c.now() {
 			break
 		}
-		c.popLoad()
+		c.retireLoad()
 	}
 	keep := c.fetches[:0]
 	for _, r := range c.fetches {
-		if !r.Done() {
+		if r.Done() {
+			c.ctl.Release(r)
+		} else {
 			keep = append(keep, r)
 		}
 	}
@@ -187,13 +186,18 @@ func (c *Core) memOutstanding() int {
 	return len(c.fetches) + c.prefetchOutstanding() + c.loadReqs.pending()
 }
 
-// popLoad retires the FIFO head, keeping the req-bearing mirror in step.
-func (c *Core) popLoad() pendingLoad {
+// retireLoad retires the FIFO head, keeping the req-bearing mirror in
+// step: it waits for the load's data, advancing the memory clock as
+// needed, releases its request and returns its completion time.
+func (c *Core) retireLoad() sim.Tick {
 	p := c.loads.popFront()
-	if p.req != nil {
-		c.loadReqs.popFront()
+	if p.req == nil {
+		return p.fallback
 	}
-	return p
+	c.loadReqs.popFront()
+	t := c.ctl.WaitRead(p.req)
+	c.ctl.Release(p.req)
+	return t
 }
 
 // stallFor advances the pipeline cursor to t if it is ahead.
@@ -244,7 +248,7 @@ func (c *Core) step() {
 	// ROB: the window cannot move past an incomplete load that is
 	// ROBEntries behind the dispatch point.
 	for c.loads.len() > 0 && c.loads.front().num+c.robSize <= c.instrs {
-		c.stallFor(c.complete(c.popLoad()))
+		c.stallFor(c.retireLoad())
 	}
 
 	// MSHRs. Demand loads are bounded by the L1 miss-status file; the
@@ -252,15 +256,17 @@ func (c *Core) step() {
 	// by the LLC's (stores and prefetches bypass the L1 MSHRs: stores
 	// retire into write buffers, prefetches train at the LLC).
 	for c.loadsOutstanding() >= c.loadMSHRs {
-		c.stallFor(c.complete(c.popLoad()))
+		c.stallFor(c.retireLoad())
 		c.sweep()
 	}
 	for c.memOutstanding() >= c.mshrLimit {
 		if c.loads.len() > 0 && c.loads.front().req != nil {
-			c.stallFor(c.complete(c.popLoad()))
+			c.stallFor(c.retireLoad())
 		} else if len(c.fetches) > 0 {
-			c.ctl.WaitRead(c.fetches[0])
-			c.fetches = c.fetches[1:]
+			r := c.fetches[0]
+			c.ctl.WaitRead(r)
+			c.ctl.Release(r)
+			c.fetches = c.fetches[:copy(c.fetches, c.fetches[1:])]
 		} else if len(c.pf.inflight) > 0 {
 			c.ctl.WaitRead(c.pf.inflight[0].req)
 			c.drainPrefetches()
@@ -305,23 +311,40 @@ func (c *Core) step() {
 		r := c.demandRead(res.FetchAddr)
 		c.loads.pushBack(pendingLoad{num: c.instrs, req: r})
 		c.loadReqs.pushBack(r)
+		c.ctl.Retain(r)
+		c.dropLastLoadReq()
 		c.lastLoadReq = r
 	case !op.Write && res.Hit != cache.LevelL1:
 		done := c.now() + sim.Tick(latency)
 		c.loads.pushBack(pendingLoad{num: c.instrs, fallback: done})
-		c.lastLoad, c.lastLoadReq = done, nil
+		c.lastLoad = done
+		c.dropLastLoadReq()
 	case !op.Write:
-		c.lastLoad, c.lastLoadReq = c.now()+sim.Tick(latency), nil
+		c.lastLoad = c.now() + sim.Tick(latency)
+		c.dropLastLoadReq()
+	}
+}
+
+// dropLastLoadReq releases the dependence chain's pending request, if
+// any. lastLoadReq can outlive its ROB entry, so it is a holder of its
+// own. When the previous load hit in the caches there is no request and
+// this is one nil check.
+func (c *Core) dropLastLoadReq() {
+	if c.lastLoadReq != nil {
+		c.ctl.Release(c.lastLoadReq)
+		c.lastLoadReq = nil
 	}
 }
 
 // demandRead issues a memory read for a demand miss, reusing an
 // in-flight prefetch of the same line when one exists, and training the
-// stream prefetcher.
+// stream prefetcher. The caller holds the returned request.
 func (c *Core) demandRead(line uint64) *mem.Request {
 	confirmed := c.pf.observe(line)
 	r := c.prefetchRequest(line)
-	if r == nil {
+	if r != nil {
+		c.ctl.Retain(r)
+	} else {
 		r = c.ctl.SubmitRead(line, c.now())
 	}
 	if confirmed {

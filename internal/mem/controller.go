@@ -47,8 +47,8 @@ const (
 )
 
 // evWord packs an event payload: opcode in bits 0..7, bank in bits
-// 8..31, issue generation in bits 32..63.
-func evWord(op, bank, gen int) uint64 {
+// 8..31, the request slot's issue generation in bits 32..63.
+func evWord(op, bank int, gen uint32) uint64 {
 	return uint64(op) | uint64(bank)<<8 | uint64(gen)<<32
 }
 
@@ -229,12 +229,15 @@ func (c *Controller) OnEvent(now sim.Tick, a, b uint64) {
 		}
 		c.trySchedule(bank, now)
 	case opComplete:
-		c.completeBankOp(bank, c.arena.at(uint32(b)), int(a>>32), now)
+		c.completeBankOp(bank, c.arena.at(uint32(b)), uint32(a>>32), now)
 	case opReadDone:
 		r := c.arena.at(uint32(b))
 		r.done = true
 		r.doneAt = now
 		c.readLat.Add(uint64((now - r.arrive) / sim.TicksPerNS))
+		if r.holders == 0 {
+			c.arena.release(r)
+		}
 	case opPump:
 		c.eagerPump(now)
 	case opQuota:
@@ -334,6 +337,8 @@ func (c *Controller) Now() sim.Tick { return c.k.Now() }
 // SubmitRead enqueues a demand read at time t (clamped to the memory
 // clock). If the read queue is full, the submission blocks (in simulated
 // time) until space frees. The returned request completes when Done().
+// The caller holds it: Release gives it back for recycling, and every
+// further holder the caller hands it to takes its own Retain.
 func (c *Controller) SubmitRead(line uint64, t sim.Tick) *Request {
 	c.advanceToAtLeast(t)
 	bank := int(line & c.bankMask)
@@ -355,6 +360,7 @@ func (c *Controller) SubmitRead(line uint64, t sim.Tick) *Request {
 	}
 	now := c.k.Now()
 	r := c.newRequest(KindRead, line, now)
+	r.holders = 1
 	c.readQ.pushBack(r)
 	c.maybePreemptForRead(r, now)
 	c.wake(r.Bank, now)
@@ -368,7 +374,24 @@ func (c *Controller) forward(w *Request) *Request {
 	r := c.arena.alloc()
 	r.Kind, r.Line, r.Bank = KindRead, w.Line, w.Bank
 	r.arrive, r.done, r.doneAt = now, true, now+forwardLatency
+	r.holders = 1
 	return r
+}
+
+// Retain records one more holder of a read returned by SubmitRead.
+func (c *Controller) Retain(r *Request) { r.holders++ }
+
+// Release gives back one holder's reference to a read. Once the read's
+// data has arrived and no holder is left, its slot is recycled; the
+// releasing holder must not touch r again.
+func (c *Controller) Release(r *Request) {
+	r.holders--
+	if r.holders < 0 {
+		panic("mem: read request released more often than held")
+	}
+	if r.holders == 0 && r.done {
+		c.arena.release(r)
+	}
 }
 
 // SubmitWrite enqueues an LLC dirty write-back at time t. If the write
@@ -386,6 +409,7 @@ func (c *Controller) SubmitWrite(line uint64, t sim.Tick) sim.Tick {
 	// write-back: replace it.
 	if e := c.eagerQ.find(bank, line); e != nil {
 		c.eagerQ.remove(e)
+		c.arena.release(e)
 	}
 	for c.writeQ.size >= c.cfg.WriteQueue {
 		c.waitForProgress(func() bool { return c.writeQ.size < c.cfg.WriteQueue })
@@ -611,7 +635,8 @@ func (c *Controller) issueRead(r *Request, now sim.Tick) {
 	b.curStart = start
 	b.freeAt = accessEnd
 	r.attempts++
-	c.k.AtEvent(accessEnd, c, evWord(opComplete, r.Bank, r.attempts), uint64(r.idx))
+	r.gen++
+	c.k.AtEvent(accessEnd, c, evWord(opComplete, r.Bank, r.gen), uint64(r.idx))
 	c.k.AtEvent(doneAt, c, evWord(opReadDone, 0, 0), uint64(r.idx))
 }
 
@@ -676,28 +701,32 @@ func (c *Controller) startWritePulse(w *Request, dec policy.WriteDecision, now s
 		pulse = c.cfg.Device.WriteLatency(dec.Mode)
 	}
 	w.attempts++
+	w.gen++
 	end := start + pulse
 	b.cur = w
 	b.curCancellable = dec.Cancellable
 	b.curPausable = dec.Pausable
 	b.curStart = start
 	b.freeAt = end
-	c.k.AtEvent(end, c, evWord(opComplete, w.Bank, w.attempts), uint64(w.idx))
+	c.k.AtEvent(end, c, evWord(opComplete, w.Bank, w.gen), uint64(w.idx))
 }
 
 // completeBankOp finishes the bank's current operation (unless it was
-// cancelled meanwhile — the issue generation gen guards against a stale
-// completion event matching a re-issued request) and schedules the next.
-func (c *Controller) completeBankOp(bank int, r *Request, gen int, now sim.Tick) {
+// cancelled or paused meanwhile — the slot's issue generation gen guards
+// against a stale completion event matching a re-issued request or a
+// later occupant of the slot) and schedules the next. A finished write
+// has no further use, so its slot is recycled here.
+func (c *Controller) completeBankOp(bank int, r *Request, gen uint32, now sim.Tick) {
 	b := &c.banks[bank]
-	if b.cur != r || r.attempts != gen {
-		return // cancelled; a retry was queued
+	if b.cur != r || r.gen != gen {
+		return // cancelled or paused; a retry was queued
 	}
 	b.cur = nil
 	b.busy.AddBusy(b.curStart, now)
 	c.traceOp(r, b.curStart, now)
 	if r.Kind != KindRead {
 		c.finishWrite(bank, r, now)
+		c.arena.release(r)
 		if b.freeAt > now {
 			// Wear-leveling migration keeps the bank busy a little longer.
 			b.busy.AddBusy(now, b.freeAt)
@@ -719,8 +748,6 @@ func (c *Controller) finishWrite(bank int, w *Request, now sim.Tick) {
 	} else {
 		c.counts.WritesDone++
 	}
-	w.done = true
-	w.doneAt = now
 	inBank := int64(w.Line>>c.bankBits) % c.blocksPerBank
 	if cost := c.levs[bank].Observe(inBank); cost.CopyWrites > 0 {
 		// Each migration copy is one array read plus one normal write; the

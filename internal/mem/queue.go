@@ -1,6 +1,10 @@
 package mem
 
-import "mellow/internal/sim"
+import (
+	"fmt"
+
+	"mellow/internal/sim"
+)
 
 // This file holds the controller's indexed request containers: a chunked
 // request arena (so the hot path never allocates per request) and the
@@ -10,19 +14,33 @@ import "mellow/internal/sim"
 // reqChunkBits sizes the arena chunks: 512 requests (~64 KB) each.
 const reqChunkBits = 9
 
-// reqArena hands out Requests from append-only chunks. Slots are never
-// recycled within a run — a *Request stays valid for the controller's
-// lifetime, which is what the CPU model (which holds requests across
-// arbitrary simulated time) and the completion events (which name
-// requests by index) rely on. One run allocates a handful of chunks
-// instead of one object per memory operation.
+// reqArena hands out Requests from chunks and recycles their slots
+// through a free list, so a run's footprint follows the requests in
+// flight, not the run's length: one chunk serves a whole run. A slot is
+// freed when its request has no further use — a write when it completes
+// or is dropped, a read when its data has arrived and its last holder
+// released it (see Controller.Release). Events name requests by slot
+// index; the slot's issue generation survives reuse, so a stale
+// completion event can never match a later occupant.
 type reqArena struct {
 	chunks [][]Request
-	n      uint32
+	n      uint32   // slots ever handed out: the occupancy high-water mark
+	free   []uint32 // recycled slots, reused last-in first-out
 }
 
-// alloc returns a zeroed Request with its arena index stamped.
+// alloc returns a zeroed Request with its arena index stamped, reusing a
+// freed slot before growing a chunk.
 func (a *reqArena) alloc() *Request {
+	if n := len(a.free); n > 0 {
+		idx := a.free[n-1]
+		a.free = a.free[:n-1]
+		r := a.at(idx)
+		if r.holders != 0 {
+			panic("mem: recycled request slot still has holders")
+		}
+		*r = Request{idx: idx, gen: r.gen}
+		return r
+	}
 	ci, off := int(a.n>>reqChunkBits), int(a.n&(1<<reqChunkBits-1))
 	if off == 0 {
 		a.chunks = append(a.chunks, make([]Request, 1<<reqChunkBits))
@@ -33,9 +51,49 @@ func (a *reqArena) alloc() *Request {
 	return r
 }
 
+// release puts r's slot on the free list.
+func (a *reqArena) release(r *Request) { a.free = append(a.free, r.idx) }
+
 // at resolves an arena index (an event payload word) to its Request.
 func (a *reqArena) at(idx uint32) *Request {
 	return &a.chunks[idx>>reqChunkBits][idx&(1<<reqChunkBits-1)]
+}
+
+// ArenaStats describes the request arena's occupancy.
+type ArenaStats struct {
+	// Slots is the number of slots ever handed out. Freed slots are reused
+	// first, so it is also the peak number of requests alive at once.
+	Slots int
+	// Live is the number of slots holding a request now.
+	Live int
+	// Holders is the number of references held on the live reads
+	// (Controller.Retain/Release).
+	Holders int
+	// Chunks is the number of arena chunks allocated.
+	Chunks int
+}
+
+// AuditArena reports the arena's occupancy and checks its free list: an
+// error means a request was freed twice, or freed while still held.
+func (c *Controller) AuditArena() (ArenaStats, error) {
+	a := &c.arena
+	s := ArenaStats{Slots: int(a.n), Live: int(a.n) - len(a.free), Chunks: len(a.chunks)}
+	seen := make([]bool, a.n)
+	for _, idx := range a.free {
+		if seen[idx] {
+			return s, fmt.Errorf("mem: request slot %d is on the free list twice", idx)
+		}
+		seen[idx] = true
+		if h := a.at(idx).holders; h != 0 {
+			return s, fmt.Errorf("mem: free request slot %d has %d holders", idx, h)
+		}
+	}
+	for idx := range seen {
+		if !seen[idx] {
+			s.Holders += int(a.at(uint32(idx)).holders)
+		}
+	}
+	return s, nil
 }
 
 // bankFIFO is one bank's intrusive request list, linked through the

@@ -39,7 +39,11 @@ func (k Kind) String() string {
 }
 
 // Request is one memory operation in flight through the controller. The
-// zero Request is meaningless; the controller creates them.
+// zero Request is meaningless; the controller creates them and recycles
+// their storage. A read returned by SubmitRead is valid until its last
+// holder releases it (Controller.Retain/Release); a read that is never
+// released stays valid for the controller's lifetime. Writes belong to
+// the controller alone.
 type Request struct {
 	// Kind is the request class.
 	Kind Kind
@@ -59,6 +63,15 @@ type Request struct {
 	mode nvm.WriteMode
 	// attempts counts issue attempts (1 + cancellations + resumes).
 	attempts int
+	// gen is the arena slot's issue generation, carried by completion
+	// events. It counts every issue of every request that has occupied
+	// the slot and is never reset on reuse, so a stale completion left by
+	// a cancelled or paused pulse cannot match a later occupant.
+	gen uint32
+	// holders counts the references to a read held outside the
+	// controller; the slot is recycled once it is zero and the data has
+	// arrived.
+	holders int32
 	// remaining is the unfinished pulse time of a paused write; zero
 	// means a fresh (or cancelled-and-restarted) write.
 	remaining sim.Tick

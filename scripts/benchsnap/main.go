@@ -12,13 +12,13 @@
 // (minimum ns/op) run across -count repetitions — the run least
 // disturbed by machine noise — and derives the two throughput numbers
 // the project tracks: simulated ticks per wall second and simulated
-// instructions per wall second. Comparison checks ns/op AND allocs/op
-// (and reports B/op), each with its own threshold: allocation counts
-// are deterministic, so -threshold holds allocs/op tightly — any jump
-// there is a real code change — while ns/op wobbles with runner load
-// and only fails past the looser -ns-threshold, catching catastrophic
-// slowdowns without flaking on shared hardware. CI runs the compare as
-// a blocking gate.
+// instructions per wall second. Comparison checks ns/op, allocs/op and
+// B/op, each with its own threshold: allocation counts and bytes are
+// deterministic, so -threshold holds allocs/op and B/op (on rows of at
+// least 64 KiB) tightly — any jump there is a real code change — while
+// ns/op wobbles with runner load and only fails past the looser
+// -ns-threshold, catching catastrophic slowdowns without flaking on
+// shared hardware. CI runs the compare as a blocking gate.
 //
 // Manifest mode gates every committed snapshot uniformly:
 //
@@ -82,7 +82,7 @@ func main() {
 		pkg         = flag.String("pkg", "mellow", "package holding the benchmarks")
 		out         = flag.String("o", "", "write the snapshot JSON here (default stdout)")
 		compare     = flag.String("compare", "", "baseline snapshot to compare against; exit 2 on regression")
-		threshold   = flag.Float64("threshold", 0.10, "relative allocs/op regression tolerated before exit 2")
+		threshold   = flag.Float64("threshold", 0.10, "relative allocs/op (and B/op, on rows of at least 64 KiB) regression tolerated before exit 2")
 		nsThreshold = flag.Float64("ns-threshold", 0.60, "relative ns/op regression tolerated before exit 2 (loose: wall time is noisy on shared runners)")
 		manifest    = flag.String("manifest", "", "gate every snapshot listed in this manifest (shared captures, uniform thresholds)")
 		readme      = flag.String("readme", "", "with -manifest: rewrite the perf-trajectory table between the benchsnap markers in this file")
@@ -196,11 +196,18 @@ func capture(bench string, count int, benchtime, pkg string) (Snapshot, error) {
 	return snap, nil
 }
 
-// diff reports each shared benchmark's delta on ns/op and allocs/op and
-// returns true when either regressed past its threshold: allocThreshold
-// for the deterministic allocs/op, nsThreshold for the noisy ns/op.
-// Benchmarks present on only one side are noted, never failed — the
-// baseline regenerates with -o when the set changes.
+// minGatedBytes is the smallest baseline B/op that diff gates. Rows
+// below it (a leveler's 0–2 B/op) are dominated by the testing
+// framework's own amortised allocations, so a relative threshold on them
+// would gate noise; a whole simulation's megabytes are the program's.
+const minGatedBytes = 64 << 10
+
+// diff reports each shared benchmark's delta on ns/op, allocs/op and
+// B/op and returns true when one regressed past its threshold:
+// allocThreshold for the deterministic allocs/op and for B/op (on
+// baseline rows of at least minGatedBytes), nsThreshold for the noisy
+// ns/op. Benchmarks present on only one side are noted, never failed —
+// the baseline regenerates with -o when the set changes.
 func diff(base, cur Snapshot, allocThreshold, nsThreshold float64) bool {
 	names := make([]string, 0, len(cur.Benchmarks))
 	for name := range cur.Benchmarks {
@@ -244,6 +251,15 @@ func diff(base, cur Snapshot, allocThreshold, nsThreshold float64) bool {
 				fmt.Println()
 			}
 		}
+		// Bytes allocated per op are as deterministic as the counts, and
+		// catch a run that allocates few but growing objects (an arena
+		// that never recycles its slots).
+		if bb, cb := b.Units["B/op"], c.Units["B/op"]; bb >= minGatedBytes {
+			if brel := (cb - bb) / bb; brel > allocThreshold {
+				regressed = true
+				fmt.Printf("BYTES %-24s %12.0f -> %12.0f B/op (%+.1f%%)\n", name, bb, cb, 100*brel)
+			}
+		}
 	}
 	for name := range base.Benchmarks {
 		if _, ok := cur.Benchmarks[name]; !ok {
@@ -251,7 +267,7 @@ func diff(base, cur Snapshot, allocThreshold, nsThreshold float64) bool {
 		}
 	}
 	if regressed {
-		fmt.Printf("benchsnap: regression beyond threshold (allocs >%.0f%% or ns >%.0f%%) — investigate or regenerate the baseline with -o\n", 100*allocThreshold, 100*nsThreshold)
+		fmt.Printf("benchsnap: regression beyond threshold (allocs or bytes >%.0f%%, ns >%.0f%%) — investigate or regenerate the baseline with -o\n", 100*allocThreshold, 100*nsThreshold)
 	}
 	return regressed
 }
