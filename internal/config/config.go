@@ -324,6 +324,10 @@ func (c Config) Validate() error {
 	if c.Run.DetailedInstructions == 0 {
 		return fmt.Errorf("config: detailed instruction count must be positive")
 	}
+	if _, carry := bits.Add64(c.Run.WarmupInstructions, c.Run.DetailedInstructions, 0); carry != 0 {
+		return fmt.Errorf("config: warmup %d plus detailed %d instructions overflow a 64-bit count",
+			c.Run.WarmupInstructions, c.Run.DetailedInstructions)
+	}
 	return nil
 }
 

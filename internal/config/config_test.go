@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -121,6 +122,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"zero psi":             func(c *Config) { c.Memory.StartGapPsi = 0 },
 		"bad SG efficiency":    func(c *Config) { c.Memory.StartGapEfficiency = 0 },
 		"zero detailed instrs": func(c *Config) { c.Run.DetailedInstructions = 0 },
+		"instr count overflow": func(c *Config) { c.Run.DetailedInstructions = math.MaxUint64 - c.Run.WarmupInstructions + 1 },
 	}
 	for name, mutate := range mutations {
 		c := Default()

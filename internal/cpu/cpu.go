@@ -10,6 +10,8 @@
 package cpu
 
 import (
+	"context"
+
 	"mellow/internal/cache"
 	"mellow/internal/config"
 	"mellow/internal/mem"
@@ -208,7 +210,7 @@ func (c *Core) stallFor(t sim.Tick) {
 }
 
 // Run executes n instructions (dispatch-counted) and returns.
-func (c *Core) Run(n uint64) { c.RunCancellable(n, nil) }
+func (c *Core) Run(n uint64) { c.RunCancellable(context.Background(), n, nil) }
 
 // cancelCheckMask sets the cancellation-checkpoint granularity: the run
 // loop polls cancelled once per 1024 trace ops, keeping the overhead
@@ -219,14 +221,34 @@ const cancelCheckMask = 1<<10 - 1
 // (if non-nil) at checkpoints, returning false as soon as it reports
 // true. Instruction accounting is identical to Run, so a run that is
 // never cancelled produces bit-identical results.
-func (c *Core) RunCancellable(n uint64, cancelled func() bool) bool {
-	end := c.instrs + n
-	for steps := 0; c.instrs < end; steps++ {
-		if cancelled != nil && steps&cancelCheckMask == 0 && cancelled() {
-			return false
+//
+// For the length of the call the generator runs ahead of the pipeline
+// model on a goroutine of its own, under ctx's profiler labels plus
+// sim=generator; ctx serves nothing else. That goroutine alone decides
+// where the phase ends: it stops at the op that completes the n
+// instructions, so the generator makes exactly the Next calls a
+// one-op-at-a-time loop would, and the next call resumes the stream
+// where this one left it. It is done with the generator by the time
+// RunCancellable returns, on every path. A cancelled call leaves the
+// generator ahead of the core by up to a few batches: a core whose run
+// was cancelled cannot be resumed.
+func (c *Core) RunCancellable(ctx context.Context, n uint64, cancelled func() bool) bool {
+	p := getPipe()
+	go p.produce(ctx, c.gen, n)
+	steps := 0
+	for batch := <-p.full; batch != nil; batch = <-p.full {
+		for _, op := range batch {
+			if cancelled != nil && steps&cancelCheckMask == 0 && cancelled() {
+				p.empty <- batch
+				p.cancel()
+				return false
+			}
+			steps++
+			c.stepOp(op)
 		}
-		c.step()
+		p.empty <- batch
 	}
+	putPipe(p)
 	return true
 }
 
@@ -234,10 +256,11 @@ func (c *Core) RunCancellable(n uint64, cancelled func() bool) bool {
 // core co-simulation drives cores step-by-step in local-time order.
 func (c *Core) Step() { c.step() }
 
-// step consumes one trace op: its gap instructions plus one access.
-func (c *Core) step() {
-	op := c.gen.Next()
+// step draws one trace op from the generator and consumes it.
+func (c *Core) step() { c.stepOp(c.gen.Next()) }
 
+// stepOp consumes one trace op: its gap instructions plus one access.
+func (c *Core) stepOp(op trace.Op) {
 	// Dispatch bandwidth for the gap and the access itself.
 	c.instrs += uint64(op.Gap) + 1
 	c.cycles += (float64(op.Gap) + 1) / c.width

@@ -383,7 +383,7 @@ func (e *Engine) Run(ctx context.Context) (Outcome, error) {
 	e.phase = PhaseWarmup
 	phaseStart := e.kernel.Now()
 	if e.run.WarmupInstructions > 0 {
-		if !e.core.RunCancellable(e.run.WarmupInstructions, cancelled) {
+		if !e.core.RunCancellable(ctx, e.run.WarmupInstructions, cancelled) {
 			return Outcome{}, ctx.Err()
 		}
 	}
@@ -398,7 +398,7 @@ func (e *Engine) Run(ctx context.Context) (Outcome, error) {
 
 	e.phase = PhaseDetailed
 	phaseStart = e.kernel.Now()
-	if !e.core.RunCancellable(e.run.DetailedInstructions, cancelled) {
+	if !e.core.RunCancellable(ctx, e.run.DetailedInstructions, cancelled) {
 		return Outcome{}, ctx.Err()
 	}
 	tl.Slice(xtrace.TrackPhase, PhaseDetailed, "phase", phaseStart, e.kernel.Now(), 0, 0)

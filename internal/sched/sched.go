@@ -7,9 +7,13 @@
 // gate, W concurrent jobs each running NumCPU simulations oversubscribe
 // the machine W-fold. Every simulation therefore acquires one slot (or
 // more, via weights — a multiprogrammed mix holds one slot per core it
-// models) from the scheduler before it runs, so total in-flight
-// simulation work never exceeds the configured budget regardless of the
-// job mix.
+// models) from the scheduler before it runs, so the simulations in
+// flight never exceed the configured budget regardless of the job mix.
+// A slot counts simulations, not CPUs: while a simulation runs a phase,
+// its trace generator runs ahead on a second goroutine
+// (cpu.Core.RunCancellable), so one slot may keep two CPUs busy. With
+// every slot taken, the generators share the CPUs with the simulations
+// they feed (DESIGN.md §3.2).
 //
 // Fairness is strict FIFO: a blocked acquire parks in arrival order and
 // later, smaller acquires do not barge past it. A wide job that queues

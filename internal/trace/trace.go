@@ -35,7 +35,11 @@ type Op struct {
 	Dep bool
 }
 
-// Generator produces an infinite instruction/access stream.
+// Generator produces an infinite instruction/access stream. Next may be
+// called on a goroutine other than the one running the simulation (the
+// CPU model draws each phase's ops ahead of time on a goroutine of its
+// own), so a generator must not share mutable state with the rest of
+// the run.
 type Generator interface {
 	Next() Op
 }
