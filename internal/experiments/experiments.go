@@ -509,8 +509,11 @@ func FanOut[T any](ctx context.Context, n int, cell func(ctx context.Context, i 
 }
 
 // SeriesRecord labels one simulation's epoch series for export.
+// Leveler is set only for scenario cells that name a wear-leveling
+// backend, so cells that differ only by leveler stay distinguishable.
 type SeriesRecord struct {
 	Workload string               `json:"workload"`
+	Leveler  string               `json:"leveler,omitempty"`
 	Policy   string               `json:"policy"`
 	Series   []engine.EpochSample `json:"series"`
 }

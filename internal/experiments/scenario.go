@@ -10,13 +10,28 @@ import (
 	"mellow/internal/trace"
 )
 
+// CellHooks observes a scenario's cells as they run. Both hooks run on
+// the cell's own goroutine, concurrently with other cells, so per-cell
+// state is best slotted by the cell index. The zero value observes
+// nothing.
+type CellHooks struct {
+	// Start is called before cell i runs and returns the Observation it
+	// runs under.
+	Start func(i int, c scenario.Cell) Observation
+	// Done is called once cell i has been attempted, with what it
+	// produced (zero on failure) and its error: every cell, failed and
+	// cancelled ones included, reaches Done exactly once.
+	Done func(i int, c scenario.Cell, in Instrumented, err error)
+}
+
 // RunScenario executes one declarative scenario: the workload × leveler
 // × policy matrix fans out in parallel through the memoised sched-
 // governed simulation path, and the cells land in matrix order so the
 // result document is deterministic. Each workload is resolved once:
 // builtins through trace.ByName, inline specs through Spec.Workload.
-// onProgress (optional) fires after every attempted cell.
-func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, onProgress func(done, total int)) (*scenario.Result, error) {
+// Observers never change the result document: an observed run returns
+// the same bytes as an unobserved one.
+func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario, hooks CellHooks) (*scenario.Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -41,25 +56,29 @@ func RunScenario(ctx context.Context, base config.Config, sc *scenario.Scenario,
 		}
 		workloads[ref.Name] = w
 	}
+	policies := make(map[string]policy.Spec, len(sc.Policies))
+	for _, p := range sc.Policies {
+		if policies[p], err = policy.Parse(p); err != nil {
+			return nil, err
+		}
+	}
 	cells := sc.Cells()
-	attempted := 0
 	res, err := FanOut(ctx, len(cells), func(ctx context.Context, i int) (Instrumented, error) {
 		cell := cells[i]
-		pspec, err := policy.Parse(cell.Policy)
-		if err != nil {
-			return Instrumented{}, err
-		}
-		c := Cell{Cfg: cfg, Policy: pspec, Workload: workloads[cell.Workload.Name]}
+		c := Cell{Cfg: cfg, Policy: policies[cell.Policy], Workload: workloads[cell.Workload.Name]}
 		if cell.Leveler != "" {
 			c.Cfg.Memory.WearLeveler = cell.Leveler
 		}
-		return Run(ctx, c, Observation{})
-	}, func(int, Instrumented, error) {
-		attempted++
-		if onProgress != nil {
-			onProgress(attempted, len(cells))
+		var ob Observation
+		if hooks.Start != nil {
+			ob = hooks.Start(i, cell)
 		}
-	})
+		in, err := Run(ctx, c, ob)
+		if hooks.Done != nil {
+			hooks.Done(i, cell, in, err)
+		}
+		return in, err
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +120,7 @@ func RunScenarioCorpus(ctx context.Context, base config.Config, dir string, upda
 	outcomes := make([]ScenarioOutcome, 0, len(entries))
 	for _, e := range entries {
 		oc := ScenarioOutcome{Name: e.Scenario.Name, Path: e.Path}
-		res, err := RunScenario(ctx, base, e.Scenario, nil)
+		res, err := RunScenario(ctx, base, e.Scenario, CellHooks{})
 		if err != nil {
 			oc.Err = fmt.Errorf("scenario %s: %v", e.Scenario.Name, err)
 		} else {

@@ -6,12 +6,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mellow/internal/config"
 	"mellow/internal/core"
 	"mellow/internal/policy"
 	"mellow/internal/scenario"
+	"mellow/internal/sim"
 	"mellow/internal/trace"
 )
 
@@ -35,7 +37,7 @@ func TestRunScenarioMatchesRunCached(t *testing.T) {
 		Workloads: []scenario.WorkloadRef{{Name: "gups"}},
 		Policies:  []string{"Norm", "BE-Mellow+SC"},
 	}
-	res, err := RunScenario(context.Background(), base, sc, nil)
+	res, err := RunScenario(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestRunScenarioLevelerCells(t *testing.T) {
 		Levelers:  []string{"", "startgap", "softwear"},
 		Overrides: &scenario.Overrides{Warmup: &warmup, Detailed: &detailed, SoftWearEpochWrites: &epoch},
 	}
-	res, err := RunScenario(context.Background(), base, sc, nil)
+	res, err := RunScenario(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestRunScenarioDeterministicBytes(t *testing.T) {
 		Policies:  []string{"Norm", "B-Mellow+SC"},
 	}
 	ResetCache()
-	r1, err := RunScenario(context.Background(), base, sc, nil)
+	r1, err := RunScenario(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestRunScenarioDeterministicBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetCache() // force full re-simulation
-	r2, err := RunScenario(context.Background(), base, sc, nil)
+	r2, err := RunScenario(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +214,10 @@ func TestRunScenarioDeterministicBytes(t *testing.T) {
 	}
 }
 
+// The cell hooks see every cell exactly once, in the goroutine that
+// runs it: Start's observation reaches the simulation, Done gets the
+// cell's own outcome (failed and cancelled cells included), and an
+// observed run's document is byte-identical to an unobserved one's.
 func TestRunScenarioProgressAndErrors(t *testing.T) {
 	ResetCache()
 	base := scenarioBase()
@@ -219,30 +225,73 @@ func TestRunScenarioProgressAndErrors(t *testing.T) {
 		Name:      "t",
 		Workloads: []scenario.WorkloadRef{{Name: "gups"}},
 		Policies:  []string{"Norm", "Slow"},
+		Levelers:  []string{"", "softwear"},
 	}
-	var calls int
-	if _, err := RunScenario(context.Background(), base, sc, func(done, total int) {
-		calls++
-		if total != 2 {
-			t.Errorf("total = %d, want 2", total)
-		}
-	}); err != nil {
+	plain, err := RunScenario(context.Background(), base, sc, CellHooks{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Errorf("progress calls = %d, want 2", calls)
+	var mu sync.Mutex
+	started := map[int]scenario.Cell{}
+	done := map[int]int{}
+	observed, err := RunScenario(context.Background(), base, sc, CellHooks{
+		Start: func(i int, c scenario.Cell) Observation {
+			mu.Lock()
+			started[i] = c
+			mu.Unlock()
+			return Observation{Epoch: sim.NS(20_000), Metrics: true}
+		},
+		Done: func(i int, c scenario.Cell, in Instrumented, err error) {
+			mu.Lock()
+			done[i]++
+			mu.Unlock()
+			if err != nil || len(in.Series) == 0 || in.Metrics == nil || in.Result.Policy != c.Policy {
+				t.Errorf("cell %d: err %v, %d samples, metrics %v, policy %q",
+					i, err, len(in.Series), in.Metrics != nil, in.Result.Policy)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := sc.Cells()
+	for i, c := range cells {
+		if started[i] != c || done[i] != 1 {
+			t.Errorf("cell %d: started as %+v, done %d times; want %+v once", i, started[i], done[i], c)
+		}
+	}
+	pb, err := plain.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob, err := observed.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(pb) != string(ob) {
+		t.Error("observing the cells changed the scenario document")
 	}
 
 	// Validation failures surface before any simulation.
 	bad := &scenario.Scenario{Name: "t", Workloads: []scenario.WorkloadRef{{Name: "nope"}}, Policies: []string{"Norm"}}
-	if _, err := RunScenario(context.Background(), base, bad, nil); err == nil {
+	if _, err := RunScenario(context.Background(), base, bad, CellHooks{}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
-	// A cancelled context aborts.
+	// A cancelled context aborts, and every cell still reaches Done.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunScenario(ctx, base, sc, nil); err == nil {
+	failed := 0
+	if _, err := RunScenario(ctx, base, sc, CellHooks{Done: func(_ int, _ scenario.Cell, _ Instrumented, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			failed++
+		}
+	}}); err == nil {
 		t.Fatal("cancelled context not reported")
+	}
+	if failed != len(cells) {
+		t.Errorf("cancelled run reached Done with %d failures, want %d", failed, len(cells))
 	}
 }
 

@@ -133,28 +133,11 @@ func PCMDevice() Device {
 	}
 }
 
-// HighEnduranceReRAM returns a Ta₂O₅-bilayer-like corner [31]: fast
-// writes with very high endurance, where wear limiting matters little.
-func HighEnduranceReRAM() Device {
-	return Device{
-		BaseLatency:   sim.NS(50),
-		BaseEndurance: 1e10,
-		ExpoFactor:    2.0,
-	}
-}
-
-// LowEnduranceReRAM returns a storage-class corner with scarce
-// endurance, where Mellow Writes is most valuable.
-func LowEnduranceReRAM() Device {
-	return Device{
-		BaseLatency:   sim.NS(150),
-		BaseEndurance: 1e6,
-		ExpoFactor:    2.5,
-	}
-}
-
 // Presets lists the named technology corners with the paper baseline
-// first.
+// first. Besides PCM, they are a Ta₂O₅-bilayer-like ReRAM [31] (fast
+// writes with very high endurance, where wear limiting matters little)
+// and a storage-class ReRAM with scarce endurance, where Mellow Writes
+// is most valuable.
 func Presets() []struct {
 	Name   string
 	Device Device
@@ -165,8 +148,8 @@ func Presets() []struct {
 	}{
 		{"ReRAM (paper baseline)", DefaultDevice()},
 		{"PCM-like", PCMDevice()},
-		{"high-endurance ReRAM", HighEnduranceReRAM()},
-		{"low-endurance ReRAM", LowEnduranceReRAM()},
+		{"high-endurance ReRAM", Device{BaseLatency: sim.NS(50), BaseEndurance: 1e10, ExpoFactor: 2.0}},
+		{"low-endurance ReRAM", Device{BaseLatency: sim.NS(150), BaseEndurance: 1e6, ExpoFactor: 2.5}},
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,7 +63,8 @@ func kindList() string {
 // discriminator and its operands is optional; unset run parameters take
 // the server's base configuration.
 type JobRequest struct {
-	// Kind selects the work: "sim" (default), "compare", "experiment".
+	// Kind selects the work: "sim" (default), "compare", "experiment"
+	// or "scenario".
 	Kind string `json:"kind,omitempty"`
 	// Workload names one benchmark (sim); Workloads a set (compare and
 	// experiment; default: the full 11-benchmark suite).
@@ -93,11 +94,11 @@ type JobRequest struct {
 	// enters the cache key — an observed result carries more bytes than
 	// an unobserved one for the same work.
 	IntervalNS uint64 `json:"interval_ns,omitempty"`
-	// Metrics, for sim and compare jobs, runs each simulation with a
-	// per-run metrics registry and embeds the final snapshots in the
-	// result. Snapshots are deterministic and the flag enters the cache
-	// key, so equal keys still yield equal bytes. Experiment jobs ignore
-	// it: their artifact is the rendered report.
+	// Metrics, for sim, compare and scenario jobs, runs each simulation
+	// with a per-run metrics registry and embeds the final snapshots in
+	// the result. Snapshots are deterministic and the flag enters the
+	// cache key, so equal keys still yield equal bytes. Experiment jobs
+	// ignore it: their artifact is the rendered report.
 	Metrics bool `json:"metrics,omitempty"`
 	// Trace records an end-to-end execution trace for the job: wall-clock
 	// service spans (queued, sched-wait, per-cell simulation, render)
@@ -206,9 +207,9 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 		return c, "", err
 	}
 	c.IntervalNS = req.IntervalNS
-	// Experiment artifacts are rendered reports and scenario results are
-	// golden documents: neither embeds per-run metrics snapshots.
-	if c.Kind != KindExperiment && c.Kind != KindScenario {
+	// Experiment artifacts are rendered reports: they embed no per-run
+	// metrics snapshots.
+	if c.Kind != KindExperiment {
 		c.Metrics = req.Metrics
 	}
 	c.Trace = req.Trace
@@ -258,15 +259,6 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 			len(req.Policies) > 0 || req.Experiment != "" {
 			return c, "", fmt.Errorf("scenario job takes its matrix from the scenario document only")
 		}
-		// The corpus contract is byte-stable golden documents; observers
-		// that would grow the payload (series) or attach timelines are not
-		// part of it.
-		if req.IntervalNS != 0 {
-			return c, "", fmt.Errorf("scenario job does not support interval_ns")
-		}
-		if req.Trace {
-			return c, "", fmt.Errorf("scenario job does not support trace")
-		}
 		if err := req.Scenario.Validate(); err != nil {
 			return c, "", err
 		}
@@ -294,11 +286,10 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 	// alike: `{"workload":"x","workloads":["x"]}` means x once, not
 	// twice, and two compare jobs listing the same policies in a
 	// different order are the same work — they must share one content
-	// address and one result-cache entry.
-	sort.Strings(c.Workloads)
-	c.Workloads = dedupeSorted(c.Workloads)
-	sort.Strings(c.Policies)
-	c.Policies = dedupeSorted(c.Policies)
+	// address and one result-cache entry. The lists are sorted as
+	// copies: the request, which the job log records, keeps its own.
+	c.Workloads = sortedSet(c.Workloads)
+	c.Policies = sortedSet(c.Policies)
 
 	b, err := json.Marshal(c)
 	if err != nil {
@@ -308,16 +299,11 @@ func normalize(req JobRequest, base config.Config) (canonicalJob, string, error)
 	return c, hex.EncodeToString(sum[:]), nil
 }
 
-// dedupeSorted removes adjacent duplicates from a sorted slice, in
-// place.
-func dedupeSorted(xs []string) []string {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+// sortedSet returns a sorted copy of xs without duplicates.
+func sortedSet(xs []string) []string {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Job states.
@@ -362,12 +348,13 @@ type JobResult struct {
 	Kind string `json:"kind"`
 	// Results holds sim/compare outcomes in (workload, policy) order.
 	Results []core.Result `json:"results,omitempty"`
-	// Series holds the per-simulation epoch time series, in the same
-	// order as Results, for jobs submitted with interval_ns. The series
-	// is deterministic, so result bytes remain equal for equal keys.
+	// Series holds the per-simulation epoch time series, in matrix cell
+	// order (that of Results, or of Scenario.Cells for scenario jobs),
+	// for jobs submitted with interval_ns. The series is deterministic,
+	// so result bytes remain equal for equal keys.
 	Series []experiments.SeriesRecord `json:"series,omitempty"`
 	// Metrics holds each simulation's final per-run registry snapshot,
-	// in the same order as Results, for jobs submitted with metrics.
+	// in the same cell order as Series, for jobs submitted with metrics.
 	// Snapshots are deterministic, so result bytes remain equal for
 	// equal keys.
 	Metrics []*metrics.Snapshot `json:"metrics,omitempty"`

@@ -101,8 +101,7 @@ func TestBatchValidation(t *testing.T) {
 func TestBatchShedAllOrNothing(t *testing.T) {
 	t.Parallel()
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, BaseConfig: tinyBase(507)})
-	gate := make(chan struct{})
-	defer close(gate)
+	gate, _ := newGate(t)
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
 		select {
 		case <-gate:
@@ -192,8 +191,7 @@ func TestJobLogRestoreAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, ts1 := newTestServer(t, Config{Workers: 1, QueueDepth: 8, BaseConfig: base, JobLog: l1})
-	gate := make(chan struct{})
-	t.Cleanup(func() { close(gate) }) // runs before s1's Shutdown cleanup
+	gate, _ := newGate(t) // opens before s1's Shutdown cleanup
 	s1.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
 		select {
 		case <-gate:
@@ -322,8 +320,7 @@ func TestJobLogShedNotRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, BaseConfig: tinyBase(541), JobLog: l})
-	gate := make(chan struct{})
-	t.Cleanup(func() { close(gate) })
+	gate, _ := newGate(t)
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
 		select {
 		case <-gate:

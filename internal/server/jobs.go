@@ -14,9 +14,8 @@ import (
 	"mellow/internal/engine"
 	"mellow/internal/experiments"
 	"mellow/internal/metrics"
-	"mellow/internal/policy"
+	"mellow/internal/scenario"
 	"mellow/internal/sim"
-	"mellow/internal/trace"
 	"mellow/internal/xtrace"
 )
 
@@ -218,106 +217,39 @@ func sortSeriesRecords(records []experiments.SeriesRecord) {
 }
 
 // runJob executes one job's simulations through the memoised harness,
-// so identical sub-simulations across different jobs run once. A
-// positive interval_ns runs them observed: per-epoch series land in the
-// result and the jobState's progress trackers feed the status API live.
+// so identical sub-simulations across different jobs run once. Every
+// matrix kind — sim, compare and scenario — runs as a scenario through
+// runMatrix; experiment jobs render a paper artifact.
 //
-// Sim and compare matrices fan out in parallel through
-// experiments.FanOut; the process-wide scheduler (internal/sched) bounds
-// total concurrent simulations across every job, so the fan-out cannot
-// oversubscribe the machine. Each matrix cell's result (and series)
-// lands in the slot of its (workload, policy) loop index, so the payload
-// keeps the exact sequential ordering — equal keys still yield equal
-// bytes no matter which cells finish first.
+// A sim or compare job becomes, at run time, the scenario named after
+// its kind whose builtin workloads and policies are the canonical job's
+// sorted lists, with no levelers and no overrides. Its cells are then
+// the canonical (workload, policy) loop order, each cell's simulation
+// is the one the job always ran, and Results[i] is cell i's result.
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
-	epoch := sim.NS(canon.IntervalNS)
 	switch canon.Kind {
-	case KindSim, KindCompare:
-		type cell struct {
-			workload string
-			policy   string
-			c        experiments.Cell
-		}
-		cells := make([]cell, 0, len(canon.Workloads)*len(canon.Policies))
-		for _, w := range canon.Workloads {
-			wl, err := trace.ByName(w)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range canon.Policies {
-				spec, err := policy.Parse(p)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell{workload: w, policy: p,
-					c: experiments.Cell{Cfg: canon.Config, Policy: spec, Workload: wl}})
+	case KindSim, KindCompare, KindScenario:
+		sc := canon.Scenario
+		if sc == nil {
+			sc = &scenario.Scenario{Name: canon.Kind, Policies: canon.Policies}
+			for _, w := range canon.Workloads {
+				sc.Workloads = append(sc.Workloads, scenario.WorkloadRef{Name: w})
 			}
 		}
-		js.progress.setTotal(len(cells))
-
-		// Every cell retires through endSim, failed and cancelled ones
-		// too, so a failed job's progress accounts for all attempted work
-		// instead of freezing mid-matrix.
-		ins, err := experiments.FanOut(ctx, len(cells), func(ctx context.Context, i int) (experiments.Instrumented, error) {
-			cl := cells[i]
-			var tr *engine.Tracker
-			if epoch > 0 {
-				tr = &engine.Tracker{}
-			}
-			js.progress.beginSim(tr)
-			cellStart := time.Now()
-			ob := experiments.Observation{Epoch: epoch, Tracker: tr,
-				Metrics: canon.Metrics, Trace: canon.Trace}
-			// streamed counts this cell's live epoch events. OnEpoch only
-			// fires when this goroutine executes the simulation itself; a
-			// memo hit or a joined in-flight run streams nothing live and
-			// flushes the whole memoised series below — either way the
-			// cell's epoch-event subsequence is exactly the series the
-			// result embeds.
-			streamed := 0
-			if epoch > 0 && js.stream != nil {
-				ob.OnEpoch = func(s engine.EpochSample) {
-					streamed++
-					js.stream.epoch(i, cl.workload, cl.policy, s)
-				}
-			}
-			r, err := experiments.Run(ctx, cl.c, ob)
-			js.spans.Span("sim "+cl.workload+"/"+cl.policy, "cell",
-				cellStart, time.Now(), "workload", cl.workload, "policy", cl.policy)
-			js.progress.endSim(tr)
-			if err == nil && epoch > 0 {
-				js.stream.flushSeries(i, cl.workload, cl.policy, r.Series, streamed)
-			}
-			return r, err
-		}, nil)
-		if canon.Trace {
-			js.traces = make([]*xtrace.SimTrace, len(cells))
-			for i := range ins {
-				js.traces[i] = ins[i].Trace
-			}
-		}
+		res, err := runMatrix(ctx, js, sc, out)
 		if err != nil {
 			return nil, err
 		}
+		if canon.Kind == KindScenario {
+			out.Scenario = res
+			break
+		}
 		renderStart := time.Now()
-		out.Results = make([]core.Result, len(cells))
-		if epoch > 0 {
-			out.Series = make([]experiments.SeriesRecord, len(cells))
-		}
-		if canon.Metrics {
-			out.Metrics = make([]*metrics.Snapshot, len(cells))
-		}
-		for i, cl := range cells {
-			out.Results[i] = ins[i].Result
-			if epoch > 0 {
-				out.Series[i] = experiments.SeriesRecord{
-					Workload: cl.workload, Policy: cl.policy, Series: ins[i].Series}
-			}
-			if canon.Metrics {
-				out.Metrics[i] = ins[i].Metrics
-			}
+		out.Results = make([]core.Result, len(res.Cells))
+		for i, c := range res.Cells {
+			out.Results[i] = c.Result
 		}
 		js.spans.Span("render", "job", renderStart, time.Now())
 	case KindExperiment:
@@ -334,15 +266,15 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 			Workloads:  canon.Workloads,
 			OnProgress: js.progress.set,
 		}
-		if epoch > 0 {
-			opts.Epoch = epoch
+		if canon.IntervalNS > 0 {
+			opts.Epoch = sim.NS(canon.IntervalNS)
 			// Experiments deliver whole series as each simulation
 			// completes (OnSeries is serialized by the experiments layer),
 			// so the stream carries each (workload, policy) series as one
 			// contiguous run of epoch events with cell -1.
 			opts.OnSeries = func(rec experiments.SeriesRecord) {
 				records = append(records, rec)
-				js.stream.flushSeries(-1, rec.Workload, rec.Policy, rec.Series, 0)
+				js.stream.flushSeries(-1, rec, 0)
 			}
 		}
 		if canon.Trace {
@@ -358,16 +290,97 @@ func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 		sortSeriesRecords(records)
 		out.Report = &ExperimentReport{ID: e.ID, Title: e.Title, Output: buf.String(), Series: records}
 		js.spans.Span("render", "job", renderStart, time.Now())
-	case KindScenario:
-		// The scenario document was validated and normalized at admission;
-		// its matrix fans out through the same memoised sched-governed path
-		// as every other kind, and the cells land in matrix order — the
-		// result document is the byte-stable golden form.
-		res, err := experiments.RunScenario(ctx, canon.Config, canon.Scenario, js.progress.set)
-		if err != nil {
-			return nil, err
-		}
-		out.Scenario = res
 	}
 	return out, nil
+}
+
+// runMatrix runs a job's scenario through experiments.RunScenario and
+// observes each cell the way the job asked: its tracker feeds the
+// status API, its epochs feed the SSE stream, its wall time becomes a
+// span, and its series, metrics snapshot and timeline land in out and
+// js.traces at the cell's index — the same order as the scenario
+// document's cells, however the cells finish. Every cell retires
+// through endSim, failed and cancelled ones too, and a failed job keeps
+// the timelines of the cells that finished. The result document is the
+// same bytes with or without observers.
+func runMatrix(ctx context.Context, js *jobState, sc *scenario.Scenario, out *JobResult) (*scenario.Result, error) {
+	canon := js.canon
+	epoch := sim.NS(canon.IntervalNS)
+	n := len(sc.Cells())
+	js.progress.setTotal(n)
+	type cellObs struct {
+		tr       *engine.Tracker
+		start    time.Time
+		streamed int
+	}
+	obs := make([]cellObs, n)
+	var series []experiments.SeriesRecord
+	var snaps []*metrics.Snapshot
+	var traces []*xtrace.SimTrace
+	if epoch > 0 {
+		series = make([]experiments.SeriesRecord, n)
+	}
+	if canon.Metrics {
+		snaps = make([]*metrics.Snapshot, n)
+	}
+	if canon.Trace {
+		traces = make([]*xtrace.SimTrace, n)
+	}
+	label := func(c scenario.Cell) experiments.SeriesRecord {
+		return experiments.SeriesRecord{Workload: c.Workload.Name, Leveler: c.Leveler, Policy: c.Policy}
+	}
+	res, err := experiments.RunScenario(ctx, canon.Config, sc, experiments.CellHooks{
+		Start: func(i int, c scenario.Cell) experiments.Observation {
+			ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
+			if epoch > 0 {
+				ob.Tracker = &engine.Tracker{}
+				// OnEpoch only fires when this goroutine executes the
+				// simulation itself; a memo hit or a joined in-flight run
+				// streams nothing live and Done flushes the whole memoised
+				// series — either way the cell's epoch-event subsequence is
+				// exactly the series the result embeds.
+				if js.stream != nil {
+					rec := label(c)
+					ob.OnEpoch = func(s engine.EpochSample) {
+						obs[i].streamed++
+						js.stream.epoch(i, rec, s)
+					}
+				}
+			}
+			obs[i].tr = ob.Tracker
+			obs[i].start = time.Now()
+			js.progress.beginSim(ob.Tracker)
+			return ob
+		},
+		Done: func(i int, c scenario.Cell, in experiments.Instrumented, err error) {
+			name := "sim " + c.Workload.Name + "/" + c.Policy
+			args := []string{"workload", c.Workload.Name, "policy", c.Policy}
+			if c.Leveler != "" {
+				name += " " + c.Leveler
+				args = append(args, "leveler", c.Leveler)
+			}
+			js.spans.Span(name, "cell", obs[i].start, time.Now(), args...)
+			js.progress.endSim(obs[i].tr)
+			if traces != nil {
+				traces[i] = in.Trace
+			}
+			if err != nil {
+				return
+			}
+			if series != nil {
+				series[i] = label(c)
+				series[i].Series = in.Series
+				js.stream.flushSeries(i, series[i], obs[i].streamed)
+			}
+			if snaps != nil {
+				snaps[i] = in.Metrics
+			}
+		},
+	})
+	js.traces = traces
+	if err != nil {
+		return nil, err
+	}
+	out.Series, out.Metrics = series, snaps
+	return res, nil
 }

@@ -52,6 +52,8 @@ func TestMetricsWriteDoesNotBlockObserve(t *testing.T) {
 	tel.observe("sim", time.Millisecond) // a cell to render
 
 	w := newGateWriter()
+	release := sync.OnceFunc(func() { close(w.release) })
+	t.Cleanup(release) // a Fatal below must not strand the blocked writer
 	writeDone := make(chan error, 1)
 	go func() { writeDone <- tel.write(w) }()
 
@@ -77,7 +79,7 @@ func TestMetricsWriteDoesNotBlockObserve(t *testing.T) {
 		t.Fatal("observe blocked behind a stalled exposition writer")
 	}
 
-	close(w.release)
+	release()
 	select {
 	case err := <-writeDone:
 		if err != nil {
@@ -191,53 +193,71 @@ func TestMetricsScrapeDuringJobs(t *testing.T) {
 	}
 }
 
-// TestJobPerRunMetrics submits a compare job with per-run metrics on
-// and checks the result carries one deterministic snapshot per matrix
-// cell, aligned with the results slice.
+// TestJobPerRunMetrics submits matrix jobs with per-run metrics on — a
+// compare job and a scenario whose cells differ only by leveler — and
+// checks each result carries one deterministic snapshot per matrix
+// cell, aligned with the cells, while the unflagged twin has a distinct
+// key, no snapshots and otherwise the same bytes.
 func TestJobPerRunMetrics(t *testing.T) {
 	experiments.ResetCache()
 	_, ts := newTestServer(t, Config{Workers: 2, BaseConfig: tinyBase(503)})
 
-	body := `{"kind":"compare","workload":"stream","policies":["Norm","B-Mellow"],"metrics":true}`
-	st, code := postJob(t, ts, body)
-	if code != http.StatusAccepted {
-		t.Fatalf("status %d", code)
-	}
-	st = waitDone(t, ts, st.ID)
-	if st.State != StateDone {
-		t.Fatalf("job: %s (%s)", st.State, st.Error)
-	}
-	res := st.Result
-	if res == nil {
-		t.Fatal("no result")
-	}
-	if len(res.Metrics) != len(res.Results) || len(res.Results) != 2 {
-		t.Fatalf("metrics/results = %d/%d, want 2/2", len(res.Metrics), len(res.Results))
-	}
-	for i, snap := range res.Metrics {
-		if snap == nil || len(snap.Families) == 0 {
-			t.Fatalf("cell %d: empty snapshot", i)
+	for _, tc := range []struct {
+		name, flagged, plain string
+		cells                int
+	}{
+		{"compare", `{"kind":"compare","workload":"stream","policies":["Norm","B-Mellow"],"metrics":true}`,
+			`{"kind":"compare","workload":"stream","policies":["Norm","B-Mellow"]}`, 2},
+		{"scenario", observedScenario(`,"metrics":true`), observedScenario(""), 4},
+	} {
+		st, code := postJob(t, ts, tc.flagged)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: status %d", tc.name, code)
 		}
-		if v := snap.Value("sim_mem_reads_total"); v <= 0 {
-			t.Errorf("cell %d: sim_mem_reads_total = %v, want > 0", i, v)
+		st = waitDone(t, ts, st.ID)
+		if st.State != StateDone {
+			t.Fatalf("%s: job: %s (%s)", tc.name, st.State, st.Error)
 		}
-	}
+		res := st.Result
+		if res == nil {
+			t.Fatalf("%s: no result", tc.name)
+		}
+		cells := len(res.Results)
+		if res.Scenario != nil {
+			cells = len(res.Scenario.Cells)
+		}
+		if len(res.Metrics) != cells || cells != tc.cells {
+			t.Fatalf("%s: metrics/cells = %d/%d, want %d/%d", tc.name, len(res.Metrics), cells, tc.cells, tc.cells)
+		}
+		for i, snap := range res.Metrics {
+			if snap == nil || len(snap.Families) == 0 {
+				t.Fatalf("%s: cell %d: empty snapshot", tc.name, i)
+			}
+			if v := snap.Value("sim_mem_reads_total"); v <= 0 {
+				t.Errorf("%s: cell %d: sim_mem_reads_total = %v, want > 0", tc.name, i, v)
+			}
+		}
 
-	// Same job without metrics: same simulations, no snapshots, and a
-	// distinct content key — the flag changes the payload.
-	st2, code := postJob(t, ts, `{"kind":"compare","workload":"stream","policies":["Norm","B-Mellow"]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("status %d", code)
-	}
-	if st2.Key == st.Key {
-		t.Error("metrics flag did not enter the content key")
-	}
-	st2 = waitDone(t, ts, st2.ID)
-	if st2.State != StateDone {
-		t.Fatalf("job 2: %s (%s)", st2.State, st2.Error)
-	}
-	if len(st2.Result.Metrics) != 0 {
-		t.Errorf("unflagged job carried %d snapshots", len(st2.Result.Metrics))
+		// Same job without metrics: same simulations, no snapshots, and
+		// a distinct content key — the flag changes the payload.
+		st2, code := postJob(t, ts, tc.plain)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: status %d", tc.name, code)
+		}
+		if st2.Key == st.Key {
+			t.Errorf("%s: metrics flag did not enter the content key", tc.name)
+		}
+		st2 = waitDone(t, ts, st2.ID)
+		if st2.State != StateDone {
+			t.Fatalf("%s: job 2: %s (%s)", tc.name, st2.State, st2.Error)
+		}
+		if len(st2.Result.Metrics) != 0 {
+			t.Errorf("%s: unflagged job carried %d snapshots", tc.name, len(st2.Result.Metrics))
+		}
+		res.Key, res.Metrics, st2.Result.Key = "", nil, ""
+		if a, b := mustJSON(t, res), mustJSON(t, st2.Result); a != b {
+			t.Errorf("%s: metrics changed the rest of the result:\n%s\nvs\n%s", tc.name, a, b)
+		}
 	}
 }
 

@@ -22,6 +22,18 @@ const scenarioBody = `{"kind":"scenario","scenario":{
 	"overrides":{"seed":7,"llc_bytes":262144,"warmup_instructions":20000,"detailed_instructions":50000}
 }}`
 
+// observedScenario wraps a two-workload × two-leveler × one-policy
+// document in a job request with the given observer fields (e.g.
+// `,"interval_ns":40000`). Its cells differ only by leveler in pairs, so
+// every per-cell artifact must carry the leveler to stay apart.
+func observedScenario(observers string) string {
+	return `{"kind":"scenario","scenario":{"name":"srv-observed",
+	"workloads":[{"name":"gups"},{"name":"stream"}],
+	"levelers":["startgap","softwear"],
+	"policies":["BE-Mellow+SC"],
+	"overrides":{"warmup_instructions":10000,"detailed_instructions":40000}}` + observers + `}`
+}
+
 // TestScenarioSubmitPollFetch: a scenario job runs the document's
 // matrix through the ordinary job pipeline — 202 on admit, a result
 // document with one cell per (workload, policy) pair, content
@@ -78,9 +90,10 @@ func TestScenarioSubmitPollFetch(t *testing.T) {
 }
 
 // TestScenarioSubmitValidation: admission rejects everything the
-// scenario-kind contract forbids — matrix fields on the request, run
-// observers, invalid documents, bad overrides, unresolved replay
-// paths — and the unknown-kind error lists the full registry.
+// scenario-kind contract forbids — matrix fields on the request,
+// invalid documents, bad overrides, unresolved replay paths — and the
+// unknown-kind error lists the full registry. Run observers are
+// accepted, as for every other matrix kind.
 func TestScenarioSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, BaseConfig: tinyBase(1)})
 
@@ -94,8 +107,6 @@ func TestScenarioSubmitValidation(t *testing.T) {
 		{"request policy", fmt.Sprintf(`{"kind":"scenario","policy":"Norm","scenario":%s}`, doc), "matrix from the scenario document only"},
 		{"request policies", fmt.Sprintf(`{"kind":"scenario","policies":["Norm"],"scenario":%s}`, doc), "matrix from the scenario document only"},
 		{"request experiment", fmt.Sprintf(`{"kind":"scenario","experiment":"fig6","scenario":%s}`, doc), "matrix from the scenario document only"},
-		{"interval_ns", fmt.Sprintf(`{"kind":"scenario","interval_ns":500000,"scenario":%s}`, doc), "does not support interval_ns"},
-		{"trace", fmt.Sprintf(`{"kind":"scenario","trace":true,"scenario":%s}`, doc), "does not support trace"},
 		{"unknown workload", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"nope"}],"policies":["Norm"]}}`, "nope"},
 		{"bad policy", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"gups"}],"policies":["Turbo"]}}`, "Turbo"},
 		{"bad override", `{"kind":"scenario","scenario":{"name":"t","workloads":[{"name":"gups"}],"policies":["Norm"],"overrides":{"banks":7}}}`, "bank count 7"},
@@ -116,6 +127,12 @@ func TestScenarioSubmitValidation(t *testing.T) {
 		}
 		if !strings.Contains(raw.String(), tc.wantErr) {
 			t.Errorf("%s: body %q does not mention %q", tc.name, raw.String(), tc.wantErr)
+		}
+	}
+	for _, observers := range []string{`"interval_ns":500000`, `"trace":true`, `"metrics":true`} {
+		body := fmt.Sprintf(`{"kind":"scenario",%s,"scenario":%s}`, observers, doc)
+		if _, code := postJob(t, ts, body); code != http.StatusAccepted {
+			t.Errorf("scenario with %s: code = %d, want 202", observers, code)
 		}
 	}
 }
@@ -176,8 +193,7 @@ func TestScenarioJobLogReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, ts1 := newTestServer(t, Config{Workers: 1, QueueDepth: 8, BaseConfig: base, JobLog: l1})
-	gate := make(chan struct{})
-	t.Cleanup(func() { close(gate) })
+	gate, _ := newGate(t)
 	s1.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
 		select {
 		case <-gate:

@@ -239,10 +239,10 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// Submit admits one request: returns the job's status plus the HTTP
+// submit admits one request: returns the job's status plus the HTTP
 // code the API reports (202 accepted, 200 deduped/cached, 429 shed,
 // 503 draining, 400 invalid).
-func (s *Server) Submit(req JobRequest) (JobStatus, int, error) {
+func (s *Server) submit(req JobRequest) (JobStatus, int, error) {
 	canon, key, err := normalize(req, *s.cfg.BaseConfig)
 	if err != nil {
 		return JobStatus{}, http.StatusBadRequest, err
@@ -276,7 +276,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, int, error) {
 			fmt.Errorf("queue full (%d jobs waiting)", s.cfg.QueueDepth)
 	}
 
-	js := s.newJob(canon, key, req.TimeoutSeconds)
+	js := s.newJob(s.nextJobID(), canon, key, req.TimeoutSeconds)
 
 	// Durability barrier: the admit record reaches disk (fsync) before
 	// the job is enqueued or acknowledged. A crash after the 202 then
@@ -298,11 +298,14 @@ func (s *Server) Submit(req JobRequest) (JobStatus, int, error) {
 	return js.status(false), http.StatusAccepted, nil
 }
 
-// newJob mints a jobState with a fresh process-local id. Callers hold
-// s.mu.
-func (s *Server) newJob(canon canonicalJob, key string, timeoutSeconds float64) *jobState {
+// nextJobID mints a fresh process-local job id.
+func (s *Server) nextJobID() string { return fmt.Sprintf("job-%06d", s.nextID.Add(1)) }
+
+// newJob builds a queued jobState: a fresh admission's (id from
+// nextJobID) or a replayed one's (its logged id).
+func (s *Server) newJob(id string, canon canonicalJob, key string, timeoutSeconds float64) *jobState {
 	js := &jobState{
-		id:       fmt.Sprintf("job-%06d", s.nextID.Add(1)),
+		id:       id,
 		key:      key,
 		canon:    canon,
 		state:    StateQueued,
@@ -333,13 +336,13 @@ func admitRecord(js *jobState, req JobRequest) (joblog.Record, error) {
 	}, nil
 }
 
-// SubmitBatch admits a set of requests as one shed/accept decision:
+// submitBatch admits a set of requests as one shed/accept decision:
 // either every entry is answered (by cache, by joining an active job, or
 // by a fresh enqueue) or the whole batch is rejected. Fresh entries are
 // admitted with a single fsync of all their admit records. The returned
 // statuses align with the request order; the HTTP code is 202 when
 // anything was enqueued, 200 when every entry was already answered.
-func (s *Server) SubmitBatch(breq BatchRequest) ([]JobStatus, int, error) {
+func (s *Server) submitBatch(breq BatchRequest) ([]JobStatus, int, error) {
 	if len(breq.Jobs) == 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("batch needs at least one job")
 	}
@@ -400,7 +403,7 @@ func (s *Server) SubmitBatch(breq BatchRequest) ([]JobStatus, int, error) {
 			statuses[i] = prev.status(true)
 			continue
 		}
-		js := s.newJob(canons[i], keys[i], req.TimeoutSeconds)
+		js := s.newJob(s.nextJobID(), canons[i], keys[i], req.TimeoutSeconds)
 		rec, err := admitRecord(js, req)
 		if err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("jobs[%d]: %v", i, err)
@@ -476,21 +479,7 @@ func (s *Server) Restore() (int, error) {
 			s.log.Warn("joblog: replayed job re-keyed (base config changed?)",
 				"id", rec.ID, "logged_key", rec.Key, "key", key)
 		}
-		js := &jobState{
-			id:       rec.ID,
-			key:      key,
-			canon:    canon,
-			state:    StateQueued,
-			queuedAt: time.Now(),
-			done:     make(chan struct{}),
-			stream:   newStreamLog(s.cfg.StreamBuffer, s.met.streamDropped),
-		}
-		if rec.TimeoutSeconds > 0 {
-			js.timeout = time.Duration(rec.TimeoutSeconds * float64(time.Second))
-		}
-		if canon.Trace {
-			js.spans = xtrace.NewSpanRecorder("")
-		}
+		js := s.newJob(rec.ID, canon, key, rec.TimeoutSeconds)
 		ok, err := s.enqueueReplayed(js)
 		if err != nil {
 			return restored, err
@@ -607,7 +596,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, APIError{Error: "bad request body: " + err.Error()})
 		return
 	}
-	st, code, err := s.Submit(req)
+	st, code, err := s.submit(req)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
@@ -629,7 +618,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, APIError{Error: "bad request body: " + err.Error()})
 		return
 	}
-	sts, code, err := s.SubmitBatch(breq)
+	sts, code, err := s.submitBatch(breq)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")

@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +47,18 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Shutdown(ctx)
 	})
 	return s, ts
+}
+
+// newGate returns a gate that job stubs wait on and the function that
+// opens it. Opening is idempotent and registered as a cleanup; called
+// after newTestServer, that cleanup runs before the server's Shutdown,
+// so a test that fails before opening the gate cannot leave the drain
+// waiting on it.
+func newGate(t *testing.T) (<-chan struct{}, func()) {
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
+	return gate, open
 }
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (JobStatus, int) {
@@ -163,10 +177,14 @@ func TestDedupConcurrent(t *testing.T) {
 
 	// Hold job execution on a gate so every submission lands while the
 	// first job is demonstrably still active.
-	gate := make(chan struct{})
+	gate, openGate := newGate(t)
 	realExec := s.exec
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
-		<-gate
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return realExec(ctx, js)
 	}
 
@@ -185,7 +203,7 @@ func TestDedupConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(gate)
+	openGate()
 
 	accepted := 0
 	for i, code := range codes {
@@ -229,7 +247,7 @@ func TestDedupConcurrent(t *testing.T) {
 // checks the overflow submission is shed with 429 + Retry-After.
 func TestShedsUnderSaturation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, BaseConfig: tinyBase(31)})
-	gate := make(chan struct{})
+	gate, openGate := newGate(t)
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
 		select {
 		case <-gate:
@@ -283,7 +301,7 @@ func TestShedsUnderSaturation(t *testing.T) {
 	if s.met.shed.Value() != 1 {
 		t.Errorf("shed metric = %d, want 1", s.met.shed.Value())
 	}
-	close(gate)
+	openGate()
 }
 
 // TestGracefulDrain verifies Shutdown finishes queued and in-flight
@@ -291,10 +309,14 @@ func TestShedsUnderSaturation(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, BaseConfig: tinyBase(41)})
 	started := make(chan struct{}, 8)
-	gate := make(chan struct{})
+	gate, openGate := newGate(t)
 	s.exec = func(ctx context.Context, js *jobState) (*JobResult, error) {
 		started <- struct{}{}
-		<-gate
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return &JobResult{Key: js.key, Kind: js.canon.Kind}, nil
 	}
 
@@ -307,7 +329,11 @@ func TestGracefulDrain(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 	}
-	<-started // first job is in flight
+	select {
+	case <-started: // first job is in flight
+	case <-time.After(10 * time.Second):
+		t.Fatal("first job never started")
+	}
 
 	drained := make(chan error, 1)
 	go func() {
@@ -335,7 +361,7 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	close(gate) // release all jobs
+	openGate() // release all jobs
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -413,6 +439,40 @@ func TestDeterministicResults(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Errorf("results for key %s differ:\n%s\nvs\n%s", k1, b1, b2)
+	}
+}
+
+// TestComparePayloadGolden pins the bytes of an observed compare job's
+// result — content address, results, series and per-run metrics of a
+// 2×2 matrix under a non-default leveler — against a committed golden,
+// so a change to how a matrix job runs cannot move one byte unnoticed.
+// Regenerate with: go test ./internal/server -run ComparePayloadGolden -update
+func TestComparePayloadGolden(t *testing.T) {
+	experiments.ResetCache()
+	_, ts := newTestServer(t, Config{Workers: 2, SimBudget: 4, BaseConfig: tinyBase(71)})
+	st, code := postJob(t, ts, `{"kind":"compare","workloads":["stream","gups"],
+		"policies":["Norm","BE-Mellow+SC"],"leveler":"startgap","warmup":5000,"detailed":20000,
+		"interval_ns":20000,"metrics":true}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	if fin := waitDone(t, ts, st.ID); fin.State != StateDone {
+		t.Fatalf("state = %s (%s)", fin.State, fin.Error)
+	}
+	got := getResultBytes(t, ts, st.Key)
+
+	path := filepath.Join("testdata", "compare_payload.golden")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("compare payload drifted from %s (%d bytes, golden %d)", path, len(got), len(want))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mellow/internal/engine"
+	"mellow/internal/experiments"
 	"mellow/internal/metrics"
 )
 
@@ -36,13 +37,17 @@ type StreamEvent struct {
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
 	// Cell is the matrix cell index the sample belongs to — the index
-	// into the result's Results and Series slices. It is -1 on
-	// non-epoch events and on experiment-kind jobs, which stream whole
-	// per-simulation series as each completes: group by (workload,
-	// policy) instead.
+	// into the result's Series slice, in the job's scenario cell order
+	// (workload-major, then leveler, then policy; for sim and compare
+	// jobs also the index into Results). It is -1 on non-epoch events
+	// and on experiment-kind jobs, which stream whole per-simulation
+	// series as each completes: group by (workload, policy) instead.
 	Cell     int    `json:"cell"`
 	Workload string `json:"workload,omitempty"`
-	Policy   string `json:"policy,omitempty"`
+	// Leveler is set on scenario cells that name a wear-leveling
+	// backend.
+	Leveler string `json:"leveler,omitempty"`
+	Policy  string `json:"policy,omitempty"`
 	// Sample is the epoch payload (epoch events only).
 	Sample *engine.EpochSample `json:"sample,omitempty"`
 	// Dropped counts epoch events lost to the buffer bound (truncated
@@ -120,26 +125,28 @@ func (l *streamLog) append(ev StreamEvent) {
 	l.mu.Unlock()
 }
 
-// epoch appends one live sample for a cell.
-func (l *streamLog) epoch(cell int, workload, policy string, s engine.EpochSample) {
+// epoch appends one live sample for a cell, labelled with rec's
+// workload, leveler and policy (rec's series is ignored).
+func (l *streamLog) epoch(cell int, rec experiments.SeriesRecord, s engine.EpochSample) {
 	if l == nil {
 		return
 	}
-	l.append(StreamEvent{Type: EventEpoch, Cell: cell, Workload: workload, Policy: policy, Sample: &s})
+	l.append(StreamEvent{Type: EventEpoch, Cell: cell, Workload: rec.Workload,
+		Leveler: rec.Leveler, Policy: rec.Policy, Sample: &s})
 }
 
 // flushSeries appends the samples of a completed simulation that were
-// not already streamed live: everything from index streamed on. A memo
+// not already streamed live: rec.Series from index streamed on. A memo
 // hit or joined flight streamed nothing live (streamed 0) and flushes
 // the whole memoised series; the executing caller streamed everything
 // (streamed == len(series)) and flushes nothing. Either way the cell's
 // epoch-event subsequence ends up byte-identical to the result series.
-func (l *streamLog) flushSeries(cell int, workload, policy string, series []engine.EpochSample, streamed int) {
-	if l == nil || streamed >= len(series) {
+func (l *streamLog) flushSeries(cell int, rec experiments.SeriesRecord, streamed int) {
+	if l == nil || streamed >= len(rec.Series) {
 		return
 	}
-	for _, s := range series[streamed:] {
-		l.epoch(cell, workload, policy, s)
+	for _, s := range rec.Series[streamed:] {
+		l.epoch(cell, rec, s)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mellow/internal/engine"
+	"mellow/internal/experiments"
 )
 
 // readEventsErr subscribes to a job's SSE feed and decodes events until
@@ -117,63 +118,94 @@ func sameLines(a, b []string) bool {
 // TestStreamMatchesResultSeries is the streaming face of the
 // determinism contract: subscribers attached while the job is queued
 // and long after it finished both observe, per cell, exactly the epoch
-// series the finished result embeds — identical bytes, identical order.
+// series the finished result embeds — identical bytes, identical order
+// and identical labels — for a compare matrix and for a scenario whose
+// cells differ only by leveler.
 func TestStreamMatchesResultSeries(t *testing.T) {
 	t.Parallel()
-	_, ts := newTestServer(t, Config{Workers: 2, SimBudget: 4, BaseConfig: tinyBase(401)})
-	st, code := postJob(t, ts,
-		`{"kind":"compare","workloads":["stream","gups"],"policies":["BE-Mellow+SC"],"interval_ns":40000}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202", code)
-	}
+	for _, tc := range []struct{ name, body string }{
+		{"compare", `{"kind":"compare","workloads":["stream","gups"],"policies":["BE-Mellow+SC"],"interval_ns":40000}`},
+		{"scenario", observedScenario(`,"interval_ns":40000`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			_, ts := newTestServer(t, Config{Workers: 2, SimBudget: 4, BaseConfig: tinyBase(401)})
+			st, code := postJob(t, ts, tc.body)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit = %d, want 202", code)
+			}
 
-	// Early subscriber: attached before the run, lives through it.
-	type sub struct {
-		events []StreamEvent
-		err    error
-	}
-	earlyCh := make(chan sub, 1)
-	go func() {
-		events, err := readEventsErr(ts, st.ID)
-		earlyCh <- sub{events, err}
-	}()
+			// Early subscriber: attached before the run, lives through it.
+			type sub struct {
+				events []StreamEvent
+				err    error
+			}
+			earlyCh := make(chan sub, 1)
+			go func() {
+				events, err := readEventsErr(ts, st.ID)
+				earlyCh <- sub{events, err}
+			}()
 
-	fin := waitDone(t, ts, st.ID)
-	if fin.State != StateDone {
-		t.Fatalf("job failed: %s", fin.Error)
-	}
-	got := <-earlyCh
-	if got.err != nil {
-		t.Fatalf("early subscriber: %v", got.err)
-	}
-	early := got.events
-	// Late subscriber: attached after completion, replays from scratch.
-	late := readEvents(t, ts, st.ID)
+			fin := waitDone(t, ts, st.ID)
+			if fin.State != StateDone {
+				t.Fatalf("job failed: %s", fin.Error)
+			}
+			got := <-earlyCh
+			if got.err != nil {
+				t.Fatalf("early subscriber: %v", got.err)
+			}
+			early := got.events
+			// Late subscriber: attached after completion, replays from scratch.
+			late := readEvents(t, ts, st.ID)
 
-	if last := early[len(early)-1]; last.Type != EventDone {
-		t.Fatalf("early subscriber terminal = %s, want done", last.Type)
-	}
-	for i, ev := range late {
-		if ev.Seq != i {
-			t.Fatalf("late subscriber seq[%d] = %d: replay must start at 0", i, ev.Seq)
-		}
-	}
-	for cell := 0; cell < 2; cell++ {
-		want := seriesJSON(t, fin, cell)
-		if len(want) == 0 {
-			t.Fatalf("cell %d: result series empty", cell)
-		}
-		if got := epochJSON(t, early, cell); !sameLines(got, want) {
-			t.Errorf("cell %d: early subscriber saw %d epochs, result embeds %d (or bytes differ)",
-				cell, len(got), len(want))
-		}
-		if got := epochJSON(t, late, cell); !sameLines(got, want) {
-			t.Errorf("cell %d: late subscriber saw %d epochs, result embeds %d (or bytes differ)",
-				cell, len(got), len(want))
-		}
-	}
-	if !sameLines(eventJSON(t, early), eventJSON(t, late)) {
-		t.Error("early and late subscribers observed different event sequences")
+			if last := early[len(early)-1]; last.Type != EventDone {
+				t.Fatalf("early subscriber terminal = %s, want done", last.Type)
+			}
+			for i, ev := range late {
+				if ev.Seq != i {
+					t.Fatalf("late subscriber seq[%d] = %d: replay must start at 0", i, ev.Seq)
+				}
+			}
+			if len(fin.Result.Series) < 2 {
+				t.Fatalf("result embeds %d series, want one per cell", len(fin.Result.Series))
+			}
+			for cell, rec := range fin.Result.Series {
+				want := seriesJSON(t, fin, cell)
+				if len(want) == 0 {
+					t.Fatalf("cell %d: result series empty", cell)
+				}
+				if got := epochJSON(t, early, cell); !sameLines(got, want) {
+					t.Errorf("cell %d: early subscriber saw %d epochs, result embeds %d (or bytes differ)",
+						cell, len(got), len(want))
+				}
+				if got := epochJSON(t, late, cell); !sameLines(got, want) {
+					t.Errorf("cell %d: late subscriber saw %d epochs, result embeds %d (or bytes differ)",
+						cell, len(got), len(want))
+				}
+				for _, ev := range late {
+					if ev.Type == EventEpoch && ev.Cell == cell &&
+						(ev.Workload != rec.Workload || ev.Leveler != rec.Leveler || ev.Policy != rec.Policy) {
+						t.Fatalf("cell %d: event labelled %s/%s/%s, series %s/%s/%s", cell,
+							ev.Workload, ev.Leveler, ev.Policy, rec.Workload, rec.Leveler, rec.Policy)
+					}
+				}
+			}
+			if !sameLines(eventJSON(t, early), eventJSON(t, late)) {
+				t.Error("early and late subscribers observed different event sequences")
+			}
+			if sr := fin.Result.Scenario; sr != nil {
+				if len(sr.Cells) != len(fin.Result.Series) {
+					t.Fatalf("scenario has %d cells, result %d series", len(sr.Cells), len(fin.Result.Series))
+				}
+				for i, c := range sr.Cells {
+					rec := fin.Result.Series[i]
+					if rec.Workload != c.Workload || rec.Leveler != c.Leveler || rec.Policy != c.Policy {
+						t.Errorf("series %d is %s/%s/%s, scenario cell %s/%s/%s", i,
+							rec.Workload, rec.Leveler, rec.Policy, c.Workload, c.Leveler, c.Policy)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -305,7 +337,7 @@ func TestStreamLogNilSafe(t *testing.T) {
 	t.Parallel()
 	var l *streamLog
 	l.append(StreamEvent{Type: EventEpoch})
-	l.epoch(0, "w", "p", engine.EpochSample{})
-	l.flushSeries(0, "w", "p", nil, 0)
+	l.epoch(0, experiments.SeriesRecord{Workload: "w", Policy: "p"}, engine.EpochSample{})
+	l.flushSeries(0, experiments.SeriesRecord{Workload: "w", Policy: "p"}, 0)
 	l.finish("")
 }

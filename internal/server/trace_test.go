@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +25,9 @@ type chromeTrace struct {
 		Ts   float64 `json:"ts"`
 		PID  int     `json:"pid"`
 		TID  int     `json:"tid"`
+		Args struct {
+			Name string `json:"name"`
+		} `json:"args"`
 	} `json:"traceEvents"`
 }
 
@@ -43,83 +45,109 @@ func getTrace(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestJobTraceEndpoint submits a traced sim job and fetches its trace:
-// the payload must be valid Chrome Trace Event Format with service
-// spans and at least one simulation timeline — and the job result must
-// be byte-for-byte what the untraced twin produces.
+// TestJobTraceEndpoint submits traced jobs — a sim job and a scenario
+// whose cells differ only by leveler — and fetches their traces: each
+// payload must be valid Chrome Trace Event Format with service spans
+// and one simulation timeline per cell, and each job result must be
+// byte-for-byte what its untraced twin produces.
 func TestJobTraceEndpoint(t *testing.T) {
 	experiments.ResetCache()
 	_, ts := newTestServer(t, Config{Workers: 2, BaseConfig: tinyBase(17)})
 
-	plain, code := postJob(t, ts, `{"kind":"sim","workload":"gups","policy":"BE-Mellow+SC+WQ"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("untraced submit = %d", code)
-	}
-	plainDone := waitDone(t, ts, plain.ID)
-	if plainDone.State != StateDone {
-		t.Fatalf("untraced state = %s (%s)", plainDone.State, plainDone.Error)
-	}
+	for _, tc := range []struct {
+		name, plain, traced, span string
+		cells                     int
+	}{
+		{"sim", `{"kind":"sim","workload":"gups","policy":"BE-Mellow+SC+WQ"}`,
+			`{"kind":"sim","workload":"gups","policy":"BE-Mellow+SC+WQ","trace":true}`,
+			"sim gups/BE-Mellow+SC+WQ", 1},
+		{"scenario", observedScenario(""), observedScenario(`,"trace":true`),
+			"sim stream/BE-Mellow+SC softwear", 4},
+	} {
+		plain, code := postJob(t, ts, tc.plain)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: untraced submit = %d", tc.name, code)
+		}
+		plainDone := waitDone(t, ts, plain.ID)
+		if plainDone.State != StateDone {
+			t.Fatalf("%s: untraced state = %s (%s)", tc.name, plainDone.State, plainDone.Error)
+		}
 
-	traced, code := postJob(t, ts, `{"kind":"sim","workload":"gups","policy":"BE-Mellow+SC+WQ","trace":true}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("traced submit = %d", code)
-	}
-	if traced.Key == plain.Key {
-		t.Error("trace flag did not enter the job content address")
-	}
-	tracedDone := waitDone(t, ts, traced.ID)
-	if tracedDone.State != StateDone {
-		t.Fatalf("traced state = %s (%s)", tracedDone.State, tracedDone.Error)
-	}
-	// The determinism contract across the API: tracing changes the key
-	// (a separate cache entry) but not one byte of the simulation output.
-	if !reflect.DeepEqual(plainDone.Result.Results, tracedDone.Result.Results) {
-		t.Error("traced job result differs from untraced twin")
-	}
+		traced, code := postJob(t, ts, tc.traced)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: traced submit = %d", tc.name, code)
+		}
+		if traced.Key == plain.Key {
+			t.Errorf("%s: trace flag did not enter the job content address", tc.name)
+		}
+		tracedDone := waitDone(t, ts, traced.ID)
+		if tracedDone.State != StateDone {
+			t.Fatalf("%s: traced state = %s (%s)", tc.name, tracedDone.State, tracedDone.Error)
+		}
+		// The determinism contract across the API: tracing changes the
+		// key (a separate cache entry) but not one byte of the simulation
+		// output.
+		for _, r := range []*JobResult{plainDone.Result, tracedDone.Result} {
+			r.Key = ""
+		}
+		if a, b := mustJSON(t, plainDone.Result), mustJSON(t, tracedDone.Result); a != b {
+			t.Errorf("%s: traced job result differs from untraced twin:\n%s\nvs\n%s", tc.name, b, a)
+		}
 
-	resp, body := getTrace(t, ts.URL+"/v1/jobs/"+traced.ID+"/trace")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace fetch = %d: %s", resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type = %q", ct)
-	}
-	var doc chromeTrace
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if doc.DisplayTimeUnit != "ns" || len(doc.OtherData.TraceID) != 16 {
-		t.Fatalf("bad trace header: unit %q, id %q", doc.DisplayTimeUnit, doc.OtherData.TraceID)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
-	}
-	spanNames, phaseKinds := map[string]bool{}, map[string]int{}
-	for _, e := range doc.TraceEvents {
-		phaseKinds[e.Ph]++
-		if e.Ph == "b" {
-			spanNames[e.Name] = true
+		resp, body := getTrace(t, ts.URL+"/v1/jobs/"+traced.ID+"/trace")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: trace fetch = %d: %s", tc.name, resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: content type = %q", tc.name, ct)
+		}
+		var doc chromeTrace
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("%s: trace is not valid JSON: %v", tc.name, err)
+		}
+		if doc.DisplayTimeUnit != "ns" || len(doc.OtherData.TraceID) != 16 {
+			t.Fatalf("%s: bad trace header: unit %q, id %q", tc.name, doc.DisplayTimeUnit, doc.OtherData.TraceID)
+		}
+		spanNames, phaseKinds, timelines := map[string]bool{}, map[string]int{}, 0
+		for _, e := range doc.TraceEvents {
+			phaseKinds[e.Ph]++
+			if e.Ph == "b" {
+				spanNames[e.Name] = true
+			}
+			if e.Ph == "M" && e.Name == "process_name" && strings.HasPrefix(e.Args.Name, "sim ") {
+				timelines++
+			}
+		}
+		if !spanNames["queued"] || !spanNames[tc.span] {
+			t.Errorf("%s: service spans missing: %v", tc.name, spanNames)
+		}
+		if phaseKinds["X"] == 0 {
+			t.Errorf("%s: no simulation slices in trace", tc.name)
+		}
+		if timelines != tc.cells {
+			t.Errorf("%s: trace has %d simulation timelines, want one per cell (%d)", tc.name, timelines, tc.cells)
+		}
+
+		// The untraced job has no trace artifact.
+		resp, body = getTrace(t, ts.URL+"/v1/jobs/"+plain.ID+"/trace")
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: untraced job trace fetch = %d: %s", tc.name, resp.StatusCode, body)
 		}
 	}
-	if !spanNames["queued"] || !spanNames["sim gups/BE-Mellow+SC+WQ"] {
-		t.Errorf("service spans missing: %v", spanNames)
-	}
-	if phaseKinds["X"] == 0 {
-		t.Error("no simulation slices in trace")
-	}
-	if !strings.Contains(string(body), "sim gups/BE-Mellow+SC+WQ") {
-		t.Error("no simulation process metadata in trace")
-	}
-
-	// The untraced job has no trace artifact.
-	resp, body = getTrace(t, ts.URL+"/v1/jobs/"+plain.ID+"/trace")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("untraced job trace fetch = %d: %s", resp.StatusCode, body)
-	}
 	// Unknown job ids 404.
-	if resp, _ = getTrace(t, ts.URL+"/v1/jobs/nope/trace"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := getTrace(t, ts.URL+"/v1/jobs/nope/trace"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job trace fetch = %d", resp.StatusCode)
 	}
+}
+
+// mustJSON renders v as JSON text.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestJobTraceConflictWhileRunning verifies the endpoint refuses to

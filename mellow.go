@@ -183,29 +183,20 @@ func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id)
 // ExperimentOptions configure an experiment run.
 type ExperimentOptions = experiments.Options
 
-// RunExperiment executes one experiment, writing its tables to out.
+// RunExperiment executes one experiment, writing its tables to out. For
+// cancellation, run ExperimentByID(id) with ExperimentOptions{Ctx: ...}.
 func RunExperiment(id string, cfg Config, out io.Writer, workloads ...string) error {
-	return RunExperimentContext(context.Background(), id, cfg, out, workloads...)
-}
-
-// RunExperimentContext is RunExperiment with cancellation: long sweeps
-// abort at the next simulation checkpoint when ctx ends.
-func RunExperimentContext(ctx context.Context, id string, cfg Config, out io.Writer, workloads ...string) error {
 	e, err := experiments.ByID(id)
 	if err != nil {
 		return err
 	}
-	return e.Run(experiments.Options{Ctx: ctx, Cfg: cfg, Out: out, Workloads: workloads})
+	return e.Run(experiments.Options{Cfg: cfg, Out: out, Workloads: workloads})
 }
 
 // WorkloadSpec is the declarative form of a workload generator: the
 // parameterization of a Table IV benchmark (or a replayed trace) as
 // plain, content-addressable data.
 type WorkloadSpec = trace.Spec
-
-// WorkloadSpecByName returns the declarative spec of a builtin
-// workload.
-func WorkloadSpecByName(name string) (WorkloadSpec, error) { return trace.SpecByName(name) }
 
 // Scenario is one declarative experiment document: workload specs ×
 // policy/leveler matrices × config overrides, with a committed expected
@@ -222,5 +213,5 @@ func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
 // RunScenario executes a scenario against the base configuration,
 // fanning its matrix out through the memoised simulation path.
 func RunScenario(ctx context.Context, base Config, sc *Scenario) (*ScenarioResult, error) {
-	return experiments.RunScenario(ctx, base, sc, nil)
+	return experiments.RunScenario(ctx, base, sc, experiments.CellHooks{})
 }

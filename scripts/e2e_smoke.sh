@@ -163,12 +163,8 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 
 # ---- scenario jobs: declarative documents through the same pipeline ----
 # A scenario job carries its whole matrix in the document; the server
-# rejects matrix fields on the request itself, and a scenario with
-# interval_ns is refused so golden documents stay byte-stable.
+# rejects matrix fields on the request itself.
 SCEN='{"kind":"scenario","scenario":{"name":"e2e-smoke","workloads":[{"name":"gups"}],"policies":["Norm","BE-Mellow+SC"],"overrides":{"seed":7,"llc_bytes":262144,"warmup_instructions":100000,"detailed_instructions":200000}}}'
-code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-  -d "${SCEN%\}}, \"interval_ns\": 500000}" "$BASE/v1/jobs")
-[ "$code" = 400 ] || { echo "scenario with interval_ns not rejected (got $code)" >&2; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
   -d "${SCEN%\}}, \"policy\": \"Norm\"}" "$BASE/v1/jobs")
 [ "$code" = 400 ] || { echo "scenario with request-level policy not rejected (got $code)" >&2; exit 1; }
@@ -196,6 +192,35 @@ grep -q '"scenario"' /tmp/mellow_e2e_scenario.json || {
 sub2=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$SCEN" "$BASE/v1/jobs")
 skey2=$(grep -o '"key":"[0-9a-f]\{64\}"' <<<"$sub2" | head -1 | cut -d'"' -f4)
 [ "$skey" = "$skey2" ] || { echo "scenario resubmit changed key: $skey vs $skey2" >&2; exit 1; }
+
+# The same document observed (interval_ns) and traced runs through the
+# same matrix path as compare jobs: its event stream ends in done, its
+# trace is served, and its embedded scenario document — run key
+# included — is the unobserved job's, byte for byte.
+sub=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+  -d "${SCEN%\}}, \"interval_ns\": 500000, \"trace\": true}" "$BASE/v1/jobs")
+oid=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' <<<"$sub")
+okey=$(sed -n 's/.*"key":"\([0-9a-f]\{64\}\)".*/\1/p' <<<"$sub")
+[ -n "$oid" ] && [ -n "$okey" ] || { echo "bad observed scenario submit response: $sub" >&2; exit 1; }
+curl -fsSN --max-time 60 "$BASE/v1/jobs/$oid/events" >/tmp/mellow_e2e_scenario_events.txt
+tail -n 4 /tmp/mellow_e2e_scenario_events.txt | grep -q '^event: done$' || {
+  echo "observed scenario event stream did not terminate with done" >&2
+  exit 1
+}
+code=$(curl -s -o /tmp/mellow_e2e_scenario_trace.json -w '%{http_code}' "$BASE/v1/jobs/$oid/trace")
+[ "$code" = 200 ] || { echo "observed scenario trace not served (got $code)" >&2; exit 1; }
+curl -fsS "$BASE/v1/results/$okey" >/tmp/mellow_e2e_scenario_observed.json
+embedded() { sed -n 's/.*"scenario":\({"scenario":.*\)}$/\1/p' "$1"; }
+run_key() { embedded "$1" | sed -n 's/^{"scenario":"[^"]*","key":"\([0-9a-f]\{64\}\)".*/\1/p'; }
+[ -n "$(run_key /tmp/mellow_e2e_scenario.json)" ] &&
+  [ "$(run_key /tmp/mellow_e2e_scenario.json)" = "$(run_key /tmp/mellow_e2e_scenario_observed.json)" ] || {
+  echo "observed scenario run key differs from the unobserved job's" >&2
+  exit 1
+}
+cmp <(embedded /tmp/mellow_e2e_scenario.json) <(embedded /tmp/mellow_e2e_scenario_observed.json) || {
+  echo "observed scenario document differs from the unobserved job's" >&2
+  exit 1
+}
 
 # A clean SIGTERM drain finishes everything and compacts the log to
 # empty — the next boot has nothing to replay.
