@@ -24,16 +24,18 @@
 // done/failed event. The feed replays from the start, so following a
 // finished job prints its complete series.
 //
-// -interval samples every simulation at the given period of simulated
-// time (the paper's T_sample is 500us) and dumps one JSON series record
-// per (workload, policy) after the tables — or embeds them in the
-// reports with -json. -progress writes "done/total simulations" status
-// lines to stderr as the sweep advances. -trace records every
-// simulation's execution timeline (engine phases, epochs, per-bank
-// reads, fast/slow/eager writes, cancellations, drain windows, Wear
-// Quota flips) and writes one Chrome Trace Event Format file — open it
-// at https://ui.perfetto.dev. Traced runs produce byte-identical
-// tables and series to untraced ones.
+// Each experiment is a plan of scenarios plus a renderer; its cells run
+// through the same scenario path as mellowd's jobs. -interval samples
+// every cell at the given period of simulated time (the paper's
+// T_sample is 500us) and dumps one JSON series record per cell, in the
+// plan's cell order, after the tables — or embeds them in the reports
+// with -json. -progress writes "done/total simulations" status lines to
+// stderr as the cells finish. -trace records every cell's execution
+// timeline (engine phases, epochs, per-bank reads, fast/slow/eager
+// writes, cancellations, drain windows, Wear Quota flips) and writes
+// one Chrome Trace Event Format file — open it at
+// https://ui.perfetto.dev. Traced runs produce byte-identical tables
+// and series to untraced ones.
 package main
 
 import (
@@ -45,11 +47,13 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"mellow"
 	"mellow/internal/experiments"
 	"mellow/internal/metrics"
+	"mellow/internal/scenario"
 	"mellow/internal/sched"
 	"mellow/internal/server"
 )
@@ -171,11 +175,11 @@ func main() {
 		todo = []mellow.Experiment{e}
 	}
 
+	if len(suite) == 0 {
+		suite = mellow.Workloads()
+	}
 	var reports []server.ExperimentReport
-	// Experiments share memoised simulations, so the same *SimTrace can
-	// arrive more than once; the trace file keeps each timeline once.
 	var simTraces []*mellow.SimTrace
-	seenTrace := map[*mellow.SimTrace]bool{}
 	for i, e := range todo {
 		if !*jsonOut && i > 0 {
 			fmt.Println()
@@ -183,48 +187,56 @@ func main() {
 		start := time.Now()
 		out := os.Stdout
 		var buf bytes.Buffer
-		opts := mellow.ExperimentOptions{Ctx: ctx, Cfg: cfg, Workloads: suite}
+		opts := mellow.ExperimentOptions{Ctx: ctx, Cfg: cfg, Workloads: suite, Out: out}
 		if *jsonOut {
 			opts.Out = &buf
-		} else {
-			opts.Out = out
+		}
+		// The hooks slot each cell's series and timeline by its index in
+		// the plan, and count finished cells for -progress.
+		total := 0
+		for _, sc := range e.Plan(cfg, suite) {
+			total += len(sc.Cells())
 		}
 		var series []mellow.SeriesRecord
 		if *interval > 0 {
-			opts.Epoch = mellow.NS(uint64(interval.Nanoseconds()))
-			opts.OnSeries = func(rec mellow.SeriesRecord) { series = append(series, rec) }
+			series = make([]mellow.SeriesRecord, total)
 		}
-		if *progress {
-			id := e.ID
-			opts.OnProgress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "mellowbench: %s: %d/%d simulations\n", id, done, total)
-			}
-		}
-		if *traceOut != "" {
-			opts.Trace = true
-			opts.OnTrace = func(rec mellow.TraceRecord) {
-				if !seenTrace[rec.Trace] {
-					seenTrace[rec.Trace] = true
-					simTraces = append(simTraces, rec.Trace)
+		traces := make([]*mellow.SimTrace, total)
+		ob := experiments.Observation{Epoch: mellow.NS(uint64(interval.Nanoseconds())), Trace: *traceOut != ""}
+		var mu sync.Mutex
+		attempts := 0
+		err := e.Run(opts, experiments.CellHooks{
+			Start: func(int, scenario.Cell) experiments.Observation { return ob },
+			Done: func(i int, c scenario.Cell, in experiments.Instrumented, err error) {
+				if err == nil && series != nil {
+					series[i] = mellow.SeriesRecord{Workload: c.Workload.Name, Leveler: c.Leveler, Policy: c.Policy, Series: in.Series}
 				}
-			}
-		}
-		if err := e.Run(opts); err != nil {
+				traces[i] = in.Trace
+				if *progress {
+					mu.Lock()
+					attempts++
+					fmt.Fprintf(os.Stderr, "mellowbench: %s: %d/%d simulations\n", e.ID, attempts, total)
+					mu.Unlock()
+				}
+			},
+		})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "mellowbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
+		}
+		if ob.Trace {
+			simTraces = append(simTraces, traces...)
 		}
 		if *jsonOut {
 			reports = append(reports, server.ExperimentReport{
 				ID: e.ID, Title: e.Title, Output: buf.String(), Series: series,
 			})
 		} else {
-			if len(series) > 0 {
-				enc := json.NewEncoder(out)
-				for _, rec := range series {
-					if err := enc.Encode(rec); err != nil {
-						fmt.Fprintln(os.Stderr, "mellowbench:", err)
-						os.Exit(1)
-					}
+			enc := json.NewEncoder(out)
+			for _, rec := range series {
+				if err := enc.Encode(rec); err != nil {
+					fmt.Fprintln(os.Stderr, "mellowbench:", err)
+					os.Exit(1)
 				}
 			}
 			fmt.Printf("[%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))

@@ -1,6 +1,6 @@
 // Command mellowplot renders the paper's main evaluation figures as SVG
 // bar charts (the plain-text analogues live in mellowbench). It runs the
-// Figures 10–16 policy sweep once and writes one file per figure.
+// Figures 10–16 scenario plan once and writes one file per figure.
 //
 // Usage:
 //
@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,11 +43,19 @@ func main() {
 	if *workloads != "" {
 		suite = strings.Split(*workloads, ",")
 	}
-	o := experiments.Options{Cfg: cfg, Out: os.Stdout, Workloads: suite}
-	res, specs, err := experiments.EvalSweep(o)
+	// Figures 10–16 share one plan: the evaluation line-up over the suite.
+	fig10, err := experiments.ByID("fig10")
 	if err != nil {
 		fatal(err)
 	}
+	sweep, err := experiments.RunScenario(context.Background(), cfg, fig10.Plan(cfg, suite), experiments.CellHooks{})
+	if err != nil {
+		fatal(err)
+	}
+	// The plan's cells are workload-major over the evaluation set, which
+	// Norm leads: each workload's run of cells starts with its baseline.
+	specs := policy.EvaluationSet()
+	cells := sweep[0].Cells
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
@@ -73,11 +82,11 @@ func main() {
 	}
 	for _, f := range figures {
 		g := &stats.GroupedBars{Title: f.title, YLabel: f.ylabel, Series: policy.Names(specs), Log: f.log}
-		for _, w := range suite {
-			base := res[[2]string{"Norm", w}]
+		for k, w := range suite {
+			row := cells[k*len(specs) : (k+1)*len(specs)]
 			var vals []float64
-			for _, s := range specs {
-				vals = append(vals, f.value(res[[2]string{s.Name, w}], base))
+			for _, c := range row {
+				vals = append(vals, f.value(c.Result, row[0].Result))
 			}
 			g.AddGroup(w, vals...)
 		}

@@ -64,7 +64,7 @@ func TestGoldenTracedBitIdentical(t *testing.T) {
 // probe ran; bank write slices whenever the golden run wrote memory.
 func checkTimeline(t *testing.T, workload, policy string, rec *xtrace.Recorder, wantEpochs, wantWrites bool) {
 	t.Helper()
-	st := rec.Finalize(workload, policy, 16)
+	st := rec.Finalize(workload, policy, "", 16)
 	if st == nil {
 		t.Fatalf("%s/%s: recorder finalized to nil", workload, policy)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mellow/internal/config"
 	"mellow/internal/policy"
+	"mellow/internal/scenario"
 	"mellow/internal/trace"
 )
 
@@ -75,34 +76,30 @@ func TestRunCachedConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunAllConcurrent drives the harness-level entry from several
+// TestRunAllConcurrent drives the scenario-matrix entry from several
 // goroutines at once, the daemon's usage pattern.
 func TestRunAllConcurrent(t *testing.T) {
 	ResetCache()
-	o := Options{Cfg: tinyConfig(7)}
-	specs := policy.EvaluationSet()[:3]
-	var jobs []job
-	for _, s := range specs {
-		jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: "gups"})
-	}
+	cfg := tinyConfig(7)
+	sc := matrix("t", []string{"gups"}, policy.EvaluationSet()[:3]...)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := runAll(o, jobs)
+			res, err := RunScenario(context.Background(), cfg, []*scenario.Scenario{sc}, CellHooks{})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if len(res) != len(jobs) {
-				t.Errorf("got %d results, want %d", len(res), len(jobs))
+			if len(res) != 1 || len(res[0].Cells) != len(sc.Policies) {
+				t.Errorf("got %d results, want 1 of %d cells", len(res), len(sc.Policies))
 			}
 		}()
 	}
 	wg.Wait()
-	if st := CacheSnapshot(); st.Misses != uint64(len(jobs)) {
-		t.Errorf("misses = %d, want %d distinct simulations", st.Misses, len(jobs))
+	if st := CacheSnapshot(); st.Misses != uint64(len(sc.Policies)) {
+		t.Errorf("misses = %d, want %d distinct simulations", st.Misses, len(sc.Policies))
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 
 	"mellow/internal/core"
 	"mellow/internal/policy"
+	"mellow/internal/scenario"
 	"mellow/internal/stats"
 )
 
 func init() {
 	registry = append(registry,
-		Experiment{"claims", "Headline-claim verification (paper vs this reproduction)", runClaims})
+		Experiment{"claims", "Headline-claim verification (paper vs this reproduction)", planEval, renderClaims})
 }
 
 // claim is one falsifiable statement from the paper, checked against the
@@ -201,13 +202,10 @@ func claims() []claim {
 	}
 }
 
-// runClaims evaluates every headline claim against the standard sweep
-// and prints a pass/fail table.
-func runClaims(o Options) error {
-	sweep, _, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
+// renderClaims evaluates every headline claim against the standard
+// sweep and prints a pass/fail table.
+func renderClaims(o Options, res []*scenario.Result) error {
+	sweep := keyed(res[0])
 	t := stats.Table{
 		Title:  "Headline claims: paper statement vs this reproduction",
 		Header: []string{"id", "claim", "paper", "measured", "verdict"},

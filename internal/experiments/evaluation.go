@@ -3,19 +3,25 @@ package experiments
 import (
 	"fmt"
 
+	"mellow/internal/config"
 	"mellow/internal/core"
 	"mellow/internal/policy"
+	"mellow/internal/scenario"
 	"mellow/internal/stats"
 )
 
-// evalTable renders one Figure 10–16 style table: a column per policy of
-// the evaluation set, a row per workload plus a summary row.
-func evalTable(o Options, title, summary string,
+// planEval is the Figure 10–16 sweep: the paper's policy line-up over
+// the active suite.
+func planEval(_ config.Config, workloads []string) []*scenario.Scenario {
+	return []*scenario.Scenario{matrix("evaluation", workloads, policy.EvaluationSet()...)}
+}
+
+// evalTable renders one Figure 10–16 style table from planEval's
+// results: a column per policy of the evaluation set, a row per
+// workload plus a summary row.
+func evalTable(o Options, sweep []*scenario.Result, title, summary string,
 	cell func(r, base core.Result) (value float64, text string)) error {
-	res, specs, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
+	res, specs := keyed(sweep[0]), policy.EvaluationSet()
 	t := stats.Table{
 		Title:  title,
 		Header: append([]string{"workload"}, policy.Names(specs)...),
@@ -41,16 +47,16 @@ func evalTable(o Options, title, summary string,
 	return t.Fprint(o.Out)
 }
 
-func runFig10(o Options) error {
-	return evalTable(o, "Figure 10: IPC by write policy (normalized to Norm)", "geomean",
+func renderFig10(o Options, sweep []*scenario.Result) error {
+	return evalTable(o, sweep, "Figure 10: IPC by write policy (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.IPC / base.IPC
 			return v, stats.F(v, 3)
 		})
 }
 
-func runFig11(o Options) error {
-	if err := evalTable(o, "Figure 11: resistive memory lifetime by write policy (years)", "geomean",
+func renderFig11(o Options, sweep []*scenario.Result) error {
+	if err := evalTable(o, sweep, "Figure 11: resistive memory lifetime by write policy (years)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			y := r.LifetimeYears()
 			return y, formatYears(y)
@@ -59,10 +65,7 @@ func runFig11(o Options) error {
 	}
 	// The paper plots Figure 11 on a log axis; render the headline
 	// comparison that way for the default suite.
-	res, _, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
+	res := keyed(sweep[0])
 	bars := &stats.Bars{Title: "Figure 11 (log scale): Norm vs BE-Mellow+SC lifetime", Log: true}
 	for _, w := range o.workloads() {
 		n := res[[2]string{"Norm", w}].LifetimeYears()
@@ -74,29 +77,26 @@ func runFig11(o Options) error {
 	return bars.Fprint(o.Out)
 }
 
-func runFig12(o Options) error {
-	return evalTable(o, "Figure 12: average bank utilization by write policy", "geomean",
+func renderFig12(o Options, sweep []*scenario.Result) error {
+	return evalTable(o, sweep, "Figure 12: average bank utilization by write policy", "geomean",
 		func(r, base core.Result) (float64, string) {
 			u := r.Mem.AvgUtilization
 			return u, stats.Pct(u)
 		})
 }
 
-func runFig13(o Options) error {
-	return evalTable(o, "Figure 13: fraction of time in write drain", "",
+func renderFig13(o Options, sweep []*scenario.Result) error {
+	return evalTable(o, sweep, "Figure 13: fraction of time in write drain", "",
 		func(r, base core.Result) (float64, string) {
 			f := r.Mem.DrainFraction
 			return f, stats.Pct(f)
 		})
 }
 
-// runFig14 shows the LLC-side request mix: demand fetches, ordinary
+// renderFig14 shows the LLC-side request mix: demand fetches, ordinary
 // dirty write-backs, and eager write-backs, normalized to Norm's total.
-func runFig14(o Options) error {
-	res, specs, err := EvalSweep(o)
-	if err != nil {
-		return err
-	}
+func renderFig14(o Options, sweep []*scenario.Result) error {
+	res, specs := keyed(sweep[0]), policy.EvaluationSet()
 	t := stats.Table{
 		Title: "Figure 14: memory requests from LLC, normalized to Norm total " +
 			"(read / writeback / eager)",
@@ -119,18 +119,18 @@ func runFig14(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runFig15 shows requests actually serviced by banks — including
+// renderFig15 shows requests actually serviced by banks — including
 // cancelled write attempts and Start-Gap migrations — normalized to Norm.
-func runFig15(o Options) error {
-	return evalTable(o, "Figure 15: requests issued to memory banks (normalized to Norm)", "geomean",
+func renderFig15(o Options, sweep []*scenario.Result) error {
+	return evalTable(o, sweep, "Figure 15: requests issued to memory banks (normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := float64(r.Mem.BankAttempts) / float64(base.Mem.BankAttempts)
 			return v, stats.F(v, 3)
 		})
 }
 
-func runFig16(o Options) error {
-	return evalTable(o, "Figure 16: main memory energy (CellC, normalized to Norm)", "geomean",
+func renderFig16(o Options, sweep []*scenario.Result) error {
+	return evalTable(o, sweep, "Figure 16: main memory energy (CellC, normalized to Norm)", "geomean",
 		func(r, base core.Result) (float64, string) {
 			v := r.Mem.EnergyPJ / base.Mem.EnergyPJ
 			return v, stats.F(v, 3)

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §5 for the index). Each experiment runs the
-// required (workload, policy, config) simulations — in parallel, with
-// per-process memoisation so figures sharing a sweep reuse it — and
+// evaluation (see DESIGN.md §5 for the index). Each experiment is a plan
+// of scenarios plus a renderer: the plan's workload × leveler × policy
+// cells run through RunScenario — in parallel, with per-process
+// memoisation so figures sharing a sweep reuse it — and the renderer
 // prints the same rows/series the paper reports.
 package experiments
 
@@ -17,6 +18,7 @@ import (
 	"mellow/internal/engine"
 	"mellow/internal/metrics"
 	"mellow/internal/policy"
+	"mellow/internal/scenario"
 	"mellow/internal/sched"
 	"mellow/internal/sim"
 	"mellow/internal/trace"
@@ -35,24 +37,6 @@ type Options struct {
 	Out io.Writer
 	// Workloads restricts the benchmark suite (default: all 11).
 	Workloads []string
-	// Epoch, when positive, runs every simulation observed at this
-	// sampling period and hands each collected series to OnSeries.
-	Epoch sim.Tick
-	// OnSeries receives one record per simulated (workload, policy) when
-	// Epoch is set. Calls are serialised, in completion order.
-	OnSeries func(SeriesRecord)
-	// OnProgress, when set, is called after every simulation a sweep
-	// completes, with the done count and the sweep total. Calls are
-	// serialised; completion order is nondeterministic.
-	OnProgress func(done, total int)
-	// Trace records an execution timeline for every simulation and
-	// hands each to OnTrace. Traced runs are bit-identical to untraced
-	// ones; they only memoise under a distinct key.
-	Trace bool
-	// OnTrace receives one record per simulated (workload, policy) when
-	// Trace is set. Calls are serialised, in completion order. The
-	// timeline is shared with the memo cache and must not be modified.
-	OnTrace func(TraceRecord)
 }
 
 func (o Options) ctx() context.Context {
@@ -70,33 +54,49 @@ func (o Options) workloads() []string {
 	return trace.Names()
 }
 
-// Experiment is one reproducible artifact of the paper.
+// Experiment is one reproducible artifact of the paper: the scenarios
+// it simulates and the renderer that turns their results into text.
 type Experiment struct {
 	// ID is the short handle, e.g. "fig11" or "tab4".
 	ID string
 	// Title names the paper artifact.
 	Title string
-	// Run executes the experiment and renders its output.
-	Run func(Options) error
+	// Plan returns the scenarios the artifact simulates under base over
+	// the workload suite; nil for analytic artifacts, which simulate
+	// nothing or run outside the scenario matrix.
+	Plan func(base config.Config, workloads []string) []*scenario.Scenario
+	// Render writes the artifact to o.Out from the results of Plan's
+	// scenarios, one per scenario in plan order.
+	Render func(o Options, res []*scenario.Result) error
+}
+
+// Run plans the experiment over o's suite, runs the plan through
+// RunScenario under hooks and renders the results to o.Out.
+func (e Experiment) Run(o Options, hooks CellHooks) error {
+	res, err := RunScenario(o.ctx(), o.Cfg, e.Plan(o.Cfg, o.workloads()), hooks)
+	if err != nil {
+		return err
+	}
+	return e.Render(o, res)
 }
 
 // registry lists all experiments in paper order.
 var registry = []Experiment{
-	{"tab4", "Table IV: workload MPKI with a 2 MB LLC", runTable4},
-	{"tab6", "Table VI: energy per operation of memristive main memory", runTable6},
-	{"fig1", "Figure 1: write latency / endurance trade-off", runFig1},
-	{"fig2", "Figure 2: IPC and lifetime under static write latencies", runFig2},
-	{"fig3", "Figure 3: bank utilization with normal writes", runFig3},
-	{"fig10", "Figure 10: IPC by write policy", runFig10},
-	{"fig11", "Figure 11: memory lifetime by write policy (years)", runFig11},
-	{"fig12", "Figure 12: bank utilization by write policy", runFig12},
-	{"fig13", "Figure 13: write drain time by write policy", runFig13},
-	{"fig14", "Figure 14: memory requests from the LLC", runFig14},
-	{"fig15", "Figure 15: requests issued to memory banks", runFig15},
-	{"fig16", "Figure 16: main memory energy consumption", runFig16},
-	{"fig17", "Figure 17: lifetime sensitivity to ExpoFactor", runFig17},
-	{"fig18", "Figure 18: sensitivity to bank-level parallelism (GemsFDTD)", runFig18},
-	{"fig19", "Figure 19: BE-Mellow+SC+WQ vs static policies", runFig19},
+	{"tab4", "Table IV: workload MPKI with a 2 MB LLC", analytic, renderTable4},
+	{"tab6", "Table VI: energy per operation of memristive main memory", analytic, renderTable6},
+	{"fig1", "Figure 1: write latency / endurance trade-off", analytic, renderFig1},
+	{"fig2", "Figure 2: IPC and lifetime under static write latencies", planFig2, renderFig2},
+	{"fig3", "Figure 3: bank utilization with normal writes", planFig3, renderFig3},
+	{"fig10", "Figure 10: IPC by write policy", planEval, renderFig10},
+	{"fig11", "Figure 11: memory lifetime by write policy (years)", planEval, renderFig11},
+	{"fig12", "Figure 12: bank utilization by write policy", planEval, renderFig12},
+	{"fig13", "Figure 13: write drain time by write policy", planEval, renderFig13},
+	{"fig14", "Figure 14: memory requests from the LLC", planEval, renderFig14},
+	{"fig15", "Figure 15: requests issued to memory banks", planEval, renderFig15},
+	{"fig16", "Figure 16: main memory energy consumption", planEval, renderFig16},
+	{"fig17", "Figure 17: lifetime sensitivity to ExpoFactor", planFig17, renderFig17},
+	{"fig18", "Figure 18: sensitivity to bank-level parallelism (GemsFDTD)", planFig18, renderFig18},
+	{"fig19", "Figure 19: BE-Mellow+SC+WQ vs static policies", planFig19, renderFig19},
 }
 
 // All returns every experiment in paper order.
@@ -119,6 +119,29 @@ func ByID(id string) (Experiment, error) {
 	}
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
+}
+
+// analytic is the plan of an artifact that runs no scenario.
+func analytic(config.Config, []string) []*scenario.Scenario { return nil }
+
+// matrix is the scenario that runs workloads × specs under the base
+// configuration; sweeps set its Config or Overrides.
+func matrix(name string, workloads []string, specs ...policy.Spec) *scenario.Scenario {
+	sc := &scenario.Scenario{Name: name, Policies: policy.Names(specs)}
+	for _, w := range workloads {
+		sc.Workloads = append(sc.Workloads, scenario.WorkloadRef{Name: w})
+	}
+	return sc
+}
+
+// keyed indexes a scenario's cell results by (policy name, workload),
+// for scenarios in which that pair names one cell.
+func keyed(r *scenario.Result) map[[2]string]core.Result {
+	m := make(map[[2]string]core.Result, len(r.Cells))
+	for _, c := range r.Cells {
+		m[[2]string{c.Policy, c.Workload}] = c.Result
+	}
+	return m
 }
 
 // Cell is one simulation: a configuration, a write policy and a
@@ -451,7 +474,7 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 			ch.met = &snap
 		}
 		if rec != nil {
-			ch.trace = rec.Finalize(c.Workload.Name, c.Policy.Name, c.Cfg.Memory.Banks())
+			ch.trace = rec.Finalize(c.Workload.Name, c.Policy.Name, c.Cfg.Memory.WearLeveler, c.Cfg.Memory.Banks())
 		}
 		return ch, nil
 	})
@@ -471,12 +494,9 @@ func Run(ctx context.Context, c Cell, ob Observation) (Instrumented, error) {
 // in. The first error cancels the context every other cell sees and is
 // returned; the slots of cells that succeeded are still filled. Every
 // cell is attempted exactly once, so a caller's progress reaches n even
-// when the fan-out fails. done, when set, is called once per cell with
-// its index, result and error; the calls run one at a time on the
-// caller's goroutine, in completion order. Concurrency is bounded by
-// the process-wide sched.Default() budget, which Run acquires per
-// simulation, not here.
-func FanOut[T any](ctx context.Context, n int, cell func(ctx context.Context, i int) (T, error), done func(i int, r T, err error)) ([]T, error) {
+// when the fan-out fails. Concurrency is bounded by the process-wide
+// sched.Default() budget, which Run acquires per simulation, not here.
+func FanOut[T any](ctx context.Context, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -501,9 +521,6 @@ func FanOut[T any](ctx context.Context, n int, cell func(ctx context.Context, i 
 			firstErr = o.err
 			cancel()
 		}
-		if done != nil {
-			done(o.i, o.r, o.err)
-		}
 	}
 	return out, firstErr
 }
@@ -516,86 +533,4 @@ type SeriesRecord struct {
 	Leveler  string               `json:"leveler,omitempty"`
 	Policy   string               `json:"policy"`
 	Series   []engine.EpochSample `json:"series"`
-}
-
-// TraceRecord labels one simulation's execution timeline for export.
-// The timeline may be shared across records when experiments reuse a
-// memoised run.
-type TraceRecord struct {
-	Workload string
-	Policy   string
-	Trace    *xtrace.SimTrace
-}
-
-// job is one simulation of a sweep, over a builtin workload.
-type job struct {
-	cfg      config.Config
-	spec     policy.Spec
-	workload string
-}
-
-// runAll executes the jobs through Run and FanOut and returns their
-// results in job order. Runs are observed when Options.Epoch is set
-// (each series goes to OnSeries) and traced when Options.Trace is (each
-// timeline goes to OnTrace). OnProgress fires after every attempted job,
-// failed ones included, so a sweep that errors still accounts for every
-// simulation it attempted.
-func runAll(o Options, jobs []job) ([]core.Result, error) {
-	ob := Observation{Epoch: o.Epoch, Trace: o.Trace}
-	attempted := 0
-	ins, err := FanOut(o.ctx(), len(jobs), func(ctx context.Context, i int) (Instrumented, error) {
-		w, err := trace.ByName(jobs[i].workload)
-		if err != nil {
-			return Instrumented{}, err
-		}
-		return Run(ctx, Cell{Cfg: jobs[i].cfg, Policy: jobs[i].spec, Workload: w}, ob)
-	}, func(i int, in Instrumented, err error) {
-		attempted++
-		j := jobs[i]
-		if err == nil && o.OnSeries != nil && o.Epoch > 0 {
-			o.OnSeries(SeriesRecord{Workload: j.workload, Policy: j.spec.Name, Series: in.Series})
-		}
-		if err == nil && o.OnTrace != nil && in.Trace != nil {
-			o.OnTrace(TraceRecord{Workload: j.workload, Policy: j.spec.Name, Trace: in.Trace})
-		}
-		if o.OnProgress != nil {
-			o.OnProgress(attempted, len(jobs))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]core.Result, len(ins))
-	for i, in := range ins {
-		results[i] = in.Result
-	}
-	return results, nil
-}
-
-// runSweep is runAll with the results keyed by (policy name, workload),
-// for sweeps in which that pair names one job.
-func runSweep(o Options, jobs []job) (map[[2]string]core.Result, error) {
-	res, err := runAll(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	keyed := make(map[[2]string]core.Result, len(jobs))
-	for i, j := range jobs {
-		keyed[[2]string{j.spec.Name, j.workload}] = res[i]
-	}
-	return keyed, nil
-}
-
-// EvalSweep runs the Figure 10–16 policy line-up over the active suite:
-// results keyed by (policy name, workload), plus the line-up.
-func EvalSweep(o Options) (map[[2]string]core.Result, []policy.Spec, error) {
-	specs := policy.EvaluationSet()
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runSweep(o, jobs)
-	return res, specs, err
 }

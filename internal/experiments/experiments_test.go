@@ -24,7 +24,7 @@ func quickOpts(buf *bytes.Buffer) Options {
 func TestRegistryComplete(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range All() {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Plan == nil || e.Render == nil {
 			t.Errorf("incomplete experiment: %+v", e)
 		}
 		if ids[e.ID] {
@@ -57,7 +57,7 @@ func TestByID(t *testing.T) {
 
 func TestTable6Static(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTable6(quickOpts(&buf)); err != nil {
+	if err := renderTable6(quickOpts(&buf), nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -70,7 +70,7 @@ func TestTable6Static(t *testing.T) {
 
 func TestFig1Static(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig1(quickOpts(&buf)); err != nil {
+	if err := renderFig1(quickOpts(&buf), nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -93,7 +93,7 @@ func TestEvaluationSweepFigures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(o); err != nil {
+		if err := e.Run(o, CellHooks{}); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestTable4Runs(t *testing.T) {
 	var buf bytes.Buffer
 	o := quickOpts(&buf)
 	o.Workloads = []string{"stream"}
-	if err := runTable4(o); err != nil {
+	if err := renderTable4(o, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "12.28") {
@@ -132,7 +132,7 @@ func TestFig18Runs(t *testing.T) {
 	ResetCache()
 	var buf bytes.Buffer
 	o := quickOpts(&buf)
-	if err := runFig18(o); err != nil {
+	if err := runID(t, "fig18", o); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -151,11 +151,11 @@ func TestRunCacheMemoises(t *testing.T) {
 	var buf bytes.Buffer
 	o := quickOpts(&buf)
 	o.Workloads = []string{"stream"}
-	if err := runFig3(o); err != nil {
+	if err := runID(t, "fig3", o); err != nil {
 		t.Fatal(err)
 	}
 	first := CacheSnapshot().Entries
-	if err := runFig3(o); err != nil {
+	if err := runID(t, "fig3", o); err != nil {
 		t.Fatal(err)
 	}
 	after := CacheSnapshot()
@@ -180,7 +180,7 @@ func TestExtensionExperimentsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(o); err != nil {
+		if err := e.Run(o, CellHooks{}); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestFig2AndFig19Run(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(o); err != nil {
+		if err := e.Run(o, CellHooks{}); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestClaimsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(o); err != nil {
+	if err := e.Run(o, CellHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -249,10 +249,20 @@ func TestExt6Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(o); err != nil {
+	if err := e.Run(o, CellHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "lbm+mcf") {
 		t.Errorf("ext6 output missing mix label:\n%s", buf.String())
 	}
+}
+
+// runID runs the experiment id unobserved.
+func runID(t *testing.T, id string, o Options) error {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(o, CellHooks{})
 }

@@ -10,6 +10,7 @@ import (
 	"mellow/internal/nvm"
 	"mellow/internal/policy"
 	"mellow/internal/rng"
+	"mellow/internal/scenario"
 	"mellow/internal/sched"
 	"mellow/internal/stats"
 	"mellow/internal/wear"
@@ -21,38 +22,36 @@ import (
 
 func init() {
 	registry = append(registry,
-		Experiment{"ext1", "Extension: multi-latency Mellow Writes (§VIII future work)", runExt1},
-		Experiment{"ext2", "Extension: dead-block (decay) prediction for eager write-backs (§VII)", runExt2},
-		Experiment{"ext3", "Ablation: eager queue depth, drain thresholds, Start-Gap psi", runExt3},
-		Experiment{"ext4", "Extension: write pausing vs write cancellation", runExt4},
-		Experiment{"ext5", "Validation: Start-Gap leveling efficiency vs the 0.9 assumption", runExt5},
-		Experiment{"ext6", "Extension: multiprogrammed mixes sharing the memory system", runExt6},
-		Experiment{"ext7", "Extension: technology corners (PCM-like, high/low-endurance ReRAM)", runExt7},
-		Experiment{"ext8", "Extension: Mellow policies x wear-leveling backends (Start-Gap, WoLFRaM, SoftWear)", runExt8},
+		Experiment{"ext1", "Extension: multi-latency Mellow Writes (§VIII future work)", planExt1, renderExt1},
+		Experiment{"ext2", "Extension: dead-block (decay) prediction for eager write-backs (§VII)", planExt2, renderExt2},
+		Experiment{"ext3", "Ablation: eager queue depth, drain thresholds, Start-Gap psi", planExt3, renderExt3},
+		Experiment{"ext4", "Extension: write pausing vs write cancellation", planExt4, renderExt4},
+		Experiment{"ext5", "Validation: Start-Gap leveling efficiency vs the 0.9 assumption", analytic, renderExt5},
+		Experiment{"ext6", "Extension: multiprogrammed mixes sharing the memory system", analytic, renderExt6},
+		Experiment{"ext7", "Extension: technology corners (PCM-like, high/low-endurance ReRAM)", planExt7, renderExt7},
+		Experiment{"ext8", "Extension: Mellow policies x wear-leveling backends (Start-Gap, WoLFRaM, SoftWear)", planExt8, renderExt8},
 	)
 }
 
-// runExt1 compares the two-pulse BE-Mellow+SC against the graded
-// multi-latency variant (+ML), which §VI-I suggests for the benchmarks
-// where a fixed 3× pulse is too blunt.
-func runExt1(o Options) error {
-	specs := []policy.Spec{
+// ext1Specs is ext1's line-up: the two-pulse BE-Mellow+SC against the
+// graded multi-latency variant (+ML), which §VI-I suggests for the
+// benchmarks where a fixed 3× pulse is too blunt.
+func ext1Specs() []policy.Spec {
+	return []policy.Spec{
 		policy.Norm(),
 		policy.BEMellow().WithSC(),
 		policy.BEMellow().WithSC().WithML(),
 		policy.BEMellow().WithSC().WithWQ(),
 		policy.BEMellow().WithSC().WithML().WithWQ(),
 	}
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runSweep(o, jobs)
-	if err != nil {
-		return err
-	}
+}
+
+func planExt1(_ config.Config, workloads []string) []*scenario.Scenario {
+	return []*scenario.Scenario{matrix("ext1", workloads, ext1Specs()...)}
+}
+
+func renderExt1(o Options, sweep []*scenario.Result) error {
+	specs, res := ext1Specs(), keyed(sweep[0])
 	t := stats.Table{
 		Title:  "Extension 1: graded write pulses (IPC vs Norm / lifetime years)",
 		Header: append([]string{"workload"}, policy.Names(specs)...),
@@ -69,47 +68,38 @@ func runExt1(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runExt2 swaps the eager-candidate predictor: the paper's LRU-position
-// profiler versus timeout-style dead-block (decay) prediction.
-func runExt2(o Options) error {
-	spec := policy.BEMellow().WithSC()
-	type variant struct {
-		label     string
-		predictor string
+// ext2Variants are the eager-candidate predictors ext2 compares: the
+// paper's LRU-position profiler versus timeout-style dead-block (decay)
+// prediction.
+var ext2Variants = []struct{ label, predictor string }{
+	{"lru-profile (paper)", cache.PredictorLRUProfile},
+	{"decay (dead-block)", cache.PredictorDecay},
+}
+
+// planExt2 runs BE-Mellow+SC over the suite once per predictor, then a
+// Norm baseline on the base configuration.
+func planExt2(_ config.Config, workloads []string) []*scenario.Scenario {
+	var plan []*scenario.Scenario
+	for _, v := range ext2Variants {
+		sc := matrix("ext2", workloads, policy.BEMellow().WithSC())
+		sc.Overrides = &scenario.Overrides{EagerPredictor: &v.predictor}
+		plan = append(plan, sc)
 	}
-	variants := []variant{
-		{"lru-profile (paper)", cache.PredictorLRUProfile},
-		{"decay (dead-block)", cache.PredictorDecay},
-	}
-	// One job per (variant, workload), then a Norm baseline per workload
-	// on the default config. The variants share a policy name, so the
-	// results are read by job index.
-	ws := o.workloads()
-	var jobs []job
-	for _, v := range variants {
-		cfg := o.Cfg
-		cfg.Caches.EagerPredictor = v.predictor
-		for _, w := range ws {
-			jobs = append(jobs, job{cfg: cfg, spec: spec, workload: w})
-		}
-	}
-	for _, w := range ws {
-		jobs = append(jobs, job{cfg: o.Cfg, spec: policy.Norm(), workload: w})
-	}
-	res, err := runAll(o, jobs)
-	if err != nil {
-		return err
-	}
+	return append(plan, matrix("ext2", workloads, policy.Norm()))
+}
+
+func renderExt2(o Options, sweep []*scenario.Result) error {
+	norm := sweep[len(ext2Variants)]
 	t := stats.Table{
 		Title: "Extension 2: eager-candidate predictor " +
 			"(IPC vs Norm / lifetime years / wasted eager writes)",
-		Header: []string{"workload", variants[0].label, variants[1].label},
+		Header: []string{"workload", ext2Variants[0].label, ext2Variants[1].label},
 	}
-	for k, w := range ws {
-		base := res[len(variants)*len(ws)+k]
+	for k, w := range o.workloads() {
+		base := norm.Cells[k].Result
 		row := []string{w}
-		for v := range variants {
-			r := res[v*len(ws)+k]
+		for v := range ext2Variants {
+			r := sweep[v].Cells[k].Result
 			row = append(row, fmt.Sprintf("%.2f/%s/%d",
 				r.IPC/base.IPC, formatYears(r.LifetimeYears()), r.Cache.WastedEager))
 		}
@@ -118,58 +108,68 @@ func runExt2(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runExt3 ablates the controller parameters the design fixes by fiat:
-// the 16-entry eager queue, the 16/32 drain thresholds and Start-Gap's
-// gap-move interval psi.
-func runExt3(o Options) error {
-	spec := policy.BEMellow().WithSC()
-	workload := "GemsFDTD"
-	if ws := o.workloads(); len(ws) > 0 {
-		workload = ws[0]
+// ext3Workload is the workload ext3 ablates: the suite's first.
+func ext3Workload(workloads []string) string {
+	if len(workloads) > 0 {
+		return workloads[0]
 	}
+	return "GemsFDTD"
+}
+
+// ext3Cases are the controller parameters the design fixes by fiat: the
+// 16-entry eager queue, the 16/32 drain thresholds and Start-Gap's
+// gap-move interval psi.
+var ext3Cases = []struct {
+	label string
+	mut   func(*config.Config)
+}{
+	{"baseline (eq=16, drain 16/32, psi=100)", func(*config.Config) {}},
+	{"eager queue 4", func(c *config.Config) { c.Memory.EagerQueue = 4 }},
+	{"eager queue 64", func(c *config.Config) { c.Memory.EagerQueue = 64 }},
+	{"drain thresholds 8/16", func(c *config.Config) { c.Memory.DrainLow, c.Memory.DrainHigh = 8, 16 }},
+	{"drain thresholds 24/32", func(c *config.Config) { c.Memory.DrainLow = 24 }},
+	{"Start-Gap psi 10", func(c *config.Config) { c.Memory.StartGapPsi = 10 }},
+	{"Start-Gap psi 1000", func(c *config.Config) { c.Memory.StartGapPsi = 1000 }},
+	{"2 channels", func(c *config.Config) { c.Memory.Channels = 2 }},
+	{"FR-FCFS reads", func(c *config.Config) { c.Memory.Scheduler = "frfcfs" }},
+	{"profile period 100us", func(c *config.Config) { c.Caches.ProfilePeriod /= 5 }},
+	{"useless threshold 1/8", func(c *config.Config) { c.Caches.UselessHitRatio = 1.0 / 8.0 }},
+}
+
+// planExt3 runs BE-Mellow+SC on one workload once per ablated
+// configuration.
+func planExt3(base config.Config, workloads []string) []*scenario.Scenario {
+	var plan []*scenario.Scenario
+	for _, cse := range ext3Cases {
+		cfg := base
+		cse.mut(&cfg)
+		sc := matrix("ext3", []string{ext3Workload(workloads)}, policy.BEMellow().WithSC())
+		sc.Config = &cfg
+		plan = append(plan, sc)
+	}
+	return plan
+}
+
+func renderExt3(o Options, sweep []*scenario.Result) error {
 	t := stats.Table{
-		Title:  fmt.Sprintf("Extension 3: parameter ablations (%s, BE-Mellow+SC)", workload),
+		Title:  fmt.Sprintf("Extension 3: parameter ablations (%s, BE-Mellow+SC)", ext3Workload(o.workloads())),
 		Header: []string{"variant", "IPC", "lifetime (y)", "eager done", "drain time", "gap moves"},
 	}
-	cases := []struct {
-		label string
-		mut   cfgMutator
-	}{
-		{"baseline (eq=16, drain 16/32, psi=100)", func(*configT) {}},
-		{"eager queue 4", func(c *configT) { c.Memory.EagerQueue = 4 }},
-		{"eager queue 64", func(c *configT) { c.Memory.EagerQueue = 64 }},
-		{"drain thresholds 8/16", func(c *configT) { c.Memory.DrainLow, c.Memory.DrainHigh = 8, 16 }},
-		{"drain thresholds 24/32", func(c *configT) { c.Memory.DrainLow = 24 }},
-		{"Start-Gap psi 10", func(c *configT) { c.Memory.StartGapPsi = 10 }},
-		{"Start-Gap psi 1000", func(c *configT) { c.Memory.StartGapPsi = 1000 }},
-		{"2 channels", func(c *configT) { c.Memory.Channels = 2 }},
-		{"FR-FCFS reads", func(c *configT) { c.Memory.Scheduler = "frfcfs" }},
-		{"profile period 100us", func(c *configT) { c.Caches.ProfilePeriod /= 5 }},
-		{"useless threshold 1/8", func(c *configT) { c.Caches.UselessHitRatio = 1.0 / 8.0 }},
-	}
-	jobs := make([]job, len(cases))
-	for i, cse := range cases {
-		jobs[i] = job{cfg: o.Cfg, spec: spec, workload: workload}
-		cse.mut(&jobs[i].cfg)
-	}
-	res, err := runAll(o, jobs)
-	if err != nil {
-		return err
-	}
-	for i, r := range res {
-		t.AddRow(cases[i].label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
+	for i, res := range sweep {
+		r := res.Cells[0].Result
+		t.AddRow(ext3Cases[i].label, stats.F(r.IPC, 3), formatYears(r.LifetimeYears()),
 			fmt.Sprintf("%d", r.Mem.EagerDone), stats.Pct(r.Mem.DrainFraction),
 			fmt.Sprintf("%d", r.Mem.GapMoves))
 	}
 	return t.Fprint(o.Out)
 }
 
-// runExt4 compares read-preemption mechanisms: cancellation (+SC/+NC,
+// ext4Specs compares read-preemption mechanisms: cancellation (+SC/+NC,
 // the paper's choice) redoes the aborted pulse and wears the cell for
 // the wasted fraction; pausing (+WP) resumes it. Qureshi et al. (HPCA
 // 2010) introduced both; the paper adopts cancellation (§VII).
-func runExt4(o Options) error {
-	specs := []policy.Spec{
+func ext4Specs() []policy.Spec {
+	return []policy.Spec{
 		policy.Norm(),
 		policy.Slow(),
 		policy.Slow().WithSC(),
@@ -177,16 +177,14 @@ func runExt4(o Options) error {
 		policy.BEMellow().WithSC(),
 		policy.BEMellow().WithWP(),
 	}
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runSweep(o, jobs)
-	if err != nil {
-		return err
-	}
+}
+
+func planExt4(_ config.Config, workloads []string) []*scenario.Scenario {
+	return []*scenario.Scenario{matrix("ext4", workloads, ext4Specs()...)}
+}
+
+func renderExt4(o Options, sweep []*scenario.Result) error {
+	specs, res := ext4Specs(), keyed(sweep[0])
 	t := stats.Table{
 		Title: "Extension 4: pausing vs cancellation " +
 			"(IPC vs Norm / lifetime years / preemptions / mean read ns)",
@@ -207,14 +205,14 @@ func runExt4(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runExt5 validates the Start-Gap efficiency assumption behind the §V
+// renderExt5 validates the Start-Gap efficiency assumption behind the §V
 // lifetime model (and Ratio_quota = 0.9): it measures achieved leveling
 // for representative write patterns across gap-move intervals. Memory
 // write streams are cache-filtered and diffuse, which is the regime
 // where the assumption holds; the table also shows the adversarial
 // single-block case where plain Start-Gap cannot help (the original
 // paper pairs it with randomized mapping for that threat).
-func runExt5(o Options) error {
+func renderExt5(o Options, _ []*scenario.Result) error {
 	const blocks = 4096
 	const writes = 4_000_000
 	patterns := []struct {
@@ -258,11 +256,11 @@ func runExt5(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runExt6 probes Mellow Writes under multiprogrammed mixes: several
+// renderExt6 probes Mellow Writes under multiprogrammed mixes: several
 // cores with private caches share the banks, eroding the idle time the
 // mechanisms exploit — the multi-core analogue of Figure 18's bank-
 // parallelism sensitivity.
-func runExt6(o Options) error {
+func renderExt6(o Options, _ []*scenario.Result) error {
 	mixes := [][]string{
 		{"GemsFDTD", "milc"},
 		{"lbm", "mcf"},
@@ -297,32 +295,38 @@ func runExt6(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runExt7 sweeps §II's technology corners: the same mechanisms on a
-// PCM-like device, a high-endurance ReRAM (wear limiting barely needed)
-// and a scarce-endurance corner (wear limiting critical).
-func runExt7(o Options) error {
-	specs := []policy.Spec{policy.Norm(), policy.BEMellow().WithSC()}
-	suite := o.workloads()
-	if len(suite) > 3 {
-		suite = []string{"GemsFDTD", "lbm", "gups"}
+// ext7Suite is the suite ext7 runs: the given one, or three
+// representative workloads when it is larger.
+func ext7Suite(workloads []string) []string {
+	if len(workloads) > 3 {
+		return []string{"GemsFDTD", "lbm", "gups"}
 	}
+	return workloads
+}
+
+// planExt7 runs Norm and BE-Mellow+SC once per technology corner of §II:
+// a PCM-like device, a high-endurance ReRAM (wear limiting barely
+// needed) and a scarce-endurance corner (wear limiting critical).
+func planExt7(base config.Config, workloads []string) []*scenario.Scenario {
+	var plan []*scenario.Scenario
+	for _, p := range nvm.Presets() {
+		cfg := base
+		cfg.Memory.Device = p.Device
+		sc := matrix("ext7", ext7Suite(workloads), policy.Norm(), policy.BEMellow().WithSC())
+		sc.Config = &cfg
+		plan = append(plan, sc)
+	}
+	return plan
+}
+
+func renderExt7(o Options, sweep []*scenario.Result) error {
+	suite := ext7Suite(o.workloads())
 	t := stats.Table{
 		Title:  "Extension 7: technology corners (per workload: Norm lifetime -> BE-Mellow+SC lifetime, years)",
 		Header: append([]string{"device"}, suite...),
 	}
-	for _, p := range nvm.Presets() {
-		cfg := o.Cfg
-		cfg.Memory.Device = p.Device
-		var jobs []job
-		for _, w := range suite {
-			for _, s := range specs {
-				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
-			}
-		}
-		res, err := runSweep(o, jobs)
-		if err != nil {
-			return err
-		}
+	for k, p := range nvm.Presets() {
+		res := keyed(sweep[k])
 		row := []string{p.Name}
 		for _, w := range suite {
 			n := res[[2]string{"Norm", w}].LifetimeYears()
@@ -334,52 +338,49 @@ func runExt7(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runExt8 re-evaluates the Mellow policy line-up on top of each
-// selectable wear-leveling backend. The paper's Tables I/II assume
+// ext8Specs is the Mellow policy line-up ext8 re-evaluates on top of
+// each selectable wear-leveling backend. The paper's Tables I/II assume
 // Start-Gap underneath every policy; WoLFRaM-style decoder remapping and
 // SoftWear-style page-granularity software leveling charge different
 // remap costs and level with different efficiency, so both the IPC and
 // the lifetime columns move — the comparison PAPERS.md names as the
 // natural modern baseline sweep.
-func runExt8(o Options) error {
-	specs := []policy.Spec{
+func ext8Specs() []policy.Spec {
+	return []policy.Spec{
 		policy.Norm(),
 		policy.BMellow().WithSC(),
 		policy.BEMellow().WithSC(),
 		policy.BEMellow().WithSC().WithWQ(),
 	}
+}
+
+// planExt8 crosses the suite with every backend and the line-up.
+func planExt8(_ config.Config, workloads []string) []*scenario.Scenario {
+	sc := matrix("ext8", workloads, ext8Specs()...)
+	sc.Levelers = wear.Backends()
+	return []*scenario.Scenario{sc}
+}
+
+// renderExt8 prints a row per (workload, backend): consecutive runs of
+// the scenario's workload-major, leveler-next cells. Norm leads the
+// line-up, so each run's first cell is its same-backend baseline.
+func renderExt8(o Options, sweep []*scenario.Result) error {
+	specs := ext8Specs()
 	t := stats.Table{
 		Title: "Extension 8: wear-leveling backends x Mellow policies " +
 			"(IPC vs same-backend Norm / lifetime years / migration writes)",
 		Header: append([]string{"workload", "leveler"}, policy.Names(specs)...),
 	}
-	for _, w := range o.workloads() {
-		for _, backend := range wear.Backends() {
-			cfg := o.Cfg
-			cfg.Memory.WearLeveler = backend
-			var jobs []job
-			for _, s := range specs {
-				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
-			}
-			res, err := runSweep(o, jobs)
-			if err != nil {
-				return err
-			}
-			base := res[[2]string{"Norm", w}]
-			row := []string{w, backend}
-			for _, s := range specs {
-				r := res[[2]string{s.Name, w}]
-				row = append(row, fmt.Sprintf("%.2f/%s/%d",
-					r.IPC/base.IPC, formatYears(r.LifetimeYears()), r.Mem.GapMoves))
-			}
-			t.AddRow(row...)
+	cells := sweep[0].Cells
+	for len(cells) > 0 {
+		row, base := []string{cells[0].Workload, cells[0].Leveler}, cells[0].Result
+		for _, c := range cells[:len(specs)] {
+			r := c.Result
+			row = append(row, fmt.Sprintf("%.2f/%s/%d",
+				r.IPC/base.IPC, formatYears(r.LifetimeYears()), r.Mem.GapMoves))
 		}
+		t.AddRow(row...)
+		cells = cells[len(specs):]
 	}
 	return t.Fprint(o.Out)
 }
-
-// cfgMutator adjusts one configuration field for an ablation variant.
-type cfgMutator = func(*configT)
-
-// configT abbreviates the config type in ablation tables.
-type configT = config.Config

@@ -10,9 +10,8 @@ import (
 
 // TestFanOut pins the fan-out contract every matrix runs on: results
 // land at their index whatever the completion order, the first error
-// cancels the context the other cells see, every cell is attempted
-// exactly once, and the done callback fires once per cell, serialised
-// (run under -race: done mutates unguarded state).
+// cancels the context the other cells see, and every cell is attempted
+// exactly once.
 func TestFanOut(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
@@ -30,23 +29,22 @@ func TestFanOut(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			calls := make([]atomic.Int32, tc.n)
 			// Cells finish in reverse index order: cell i waits until
-			// done has seen cell i+1, except that a cancelled context
+			// cell i+1 has finished, except that a cancelled context
 			// releases every wait.
-			seen := make([]chan struct{}, tc.n+1)
-			for i := range seen {
-				seen[i] = make(chan struct{})
+			finished := make([]chan struct{}, tc.n+1)
+			for i := range finished {
+				finished[i] = make(chan struct{})
 			}
-			close(seen[tc.n])
+			close(finished[tc.n])
 			var cancelled atomic.Int32
-			var doneCalls []int
-			attempted := map[int]bool{}
 			res, err := FanOut(context.Background(), tc.n, func(ctx context.Context, i int) (int, error) {
 				calls[i].Add(1)
+				defer close(finished[i])
 				if i == tc.fail {
 					return 0, boom
 				}
 				select {
-				case <-seen[i+1]:
+				case <-finished[i+1]:
 				case <-ctx.Done():
 				}
 				if tc.fail >= 0 {
@@ -60,24 +58,11 @@ func TestFanOut(t *testing.T) {
 					}
 				}
 				return i * 10, nil
-			}, func(i, r int, err error) {
-				doneCalls = append(doneCalls, i)
-				close(seen[i])
-				if attempted[i] {
-					t.Errorf("done called twice for cell %d", i)
-				}
-				attempted[i] = true
-				if (err != nil) != (i == tc.fail) {
-					t.Errorf("cell %d: err = %v", i, err)
-				}
 			})
 			for i := range calls {
 				if n := calls[i].Load(); n != 1 {
 					t.Errorf("cell %d attempted %d times, want 1", i, n)
 				}
-			}
-			if len(doneCalls) != tc.n {
-				t.Errorf("done fired %d times, want %d", len(doneCalls), tc.n)
 			}
 			if tc.fail >= 0 {
 				if !errors.Is(err, boom) {
@@ -97,12 +82,6 @@ func TestFanOut(t *testing.T) {
 			for i, r := range res {
 				if r != i*10 {
 					t.Errorf("res[%d] = %d, want %d", i, r, i*10)
-				}
-			}
-			for k, i := range doneCalls {
-				if i != tc.n-1-k {
-					t.Errorf("completion order = %v, want reverse index order", doneCalls)
-					break
 				}
 			}
 		})

@@ -4,17 +4,19 @@ import (
 	"fmt"
 
 	"mellow/internal/cache"
+	"mellow/internal/config"
 	"mellow/internal/nvm"
 	"mellow/internal/policy"
 	"mellow/internal/rng"
+	"mellow/internal/scenario"
 	"mellow/internal/stats"
 	"mellow/internal/trace"
 )
 
-// runTable4 regenerates Table IV: LLC MPKI per workload, measured the
+// renderTable4 regenerates Table IV: LLC MPKI per workload, measured the
 // way the paper does — demand misses of a 2 MB LLC, no prefetcher in the
 // path (the trace drives the hierarchy functionally).
-func runTable4(o Options) error {
+func renderTable4(o Options, _ []*scenario.Result) error {
 	t := stats.Table{
 		Title:  "Table IV: workloads and their MPKI (2 MB LLC)",
 		Header: []string{"workload", "paper", "measured"},
@@ -45,8 +47,8 @@ func runTable4(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runTable6 regenerates Table VI from the nvsim-lite model.
-func runTable6(o Options) error {
+// renderTable6 regenerates Table VI from the nvsim-lite model.
+func renderTable6(o Options, _ []*scenario.Result) error {
 	t := stats.Table{
 		Title: "Table VI: energy per operation of memristive main memory",
 		Header: []string{"cell", "buffer read (pJ)", "norm write (pJ)",
@@ -63,9 +65,9 @@ func runTable6(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runFig1 regenerates Figure 1: endurance versus write-latency
+// renderFig1 regenerates Figure 1: endurance versus write-latency
 // multiplier for five ExpoFactor curves.
-func runFig1(o Options) error {
+func renderFig1(o Options, _ []*scenario.Result) error {
 	expos := []float64{1.0, 1.5, 2.0, 2.5, 3.0}
 	t := stats.Table{
 		Title:  "Figure 1: endurance vs write latency (base 150 ns, 5e6 writes)",
@@ -108,20 +110,15 @@ func fig2Specs() []policy.Spec {
 	return specs
 }
 
-// runFig2 regenerates Figure 2: normalized IPC and lifetime for static
-// write latencies, with and without write cancellation.
-func runFig2(o Options) error {
-	specs := fig2Specs()
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runSweep(o, jobs)
-	if err != nil {
-		return err
-	}
+// planFig2 is Figure 2's sweep: the static-latency grid over the suite.
+func planFig2(_ config.Config, workloads []string) []*scenario.Scenario {
+	return []*scenario.Scenario{matrix("fig2", workloads, fig2Specs()...)}
+}
+
+// renderFig2 regenerates Figure 2: normalized IPC and lifetime for
+// static write latencies, with and without write cancellation.
+func renderFig2(o Options, sweep []*scenario.Result) error {
+	specs, res := fig2Specs(), keyed(sweep[0])
 	ipc := stats.Table{
 		Title:  "Figure 2 (top): IPC normalized to 1.0x writes without cancellation",
 		Header: append([]string{"workload"}, policy.Names(specs)...),
@@ -148,17 +145,15 @@ func runFig2(o Options) error {
 	return life.Fprint(o.Out)
 }
 
-// runFig3 regenerates Figure 3: average bank utilization under normal
+// planFig3 is Figure 3's sweep: Norm over the suite.
+func planFig3(_ config.Config, workloads []string) []*scenario.Scenario {
+	return []*scenario.Scenario{matrix("fig3", workloads, policy.Norm())}
+}
+
+// renderFig3 regenerates Figure 3: average bank utilization under normal
 // writes.
-func runFig3(o Options) error {
-	var jobs []job
-	for _, w := range o.workloads() {
-		jobs = append(jobs, job{cfg: o.Cfg, spec: policy.Norm(), workload: w})
-	}
-	res, err := runSweep(o, jobs)
-	if err != nil {
-		return err
-	}
+func renderFig3(o Options, sweep []*scenario.Result) error {
+	res := keyed(sweep[0])
 	bars := &stats.Bars{Title: "Figure 3: average bank utilization with normal writes"}
 	for _, w := range o.workloads() {
 		u := res[[2]string{"Norm", w}].Mem.AvgUtilization

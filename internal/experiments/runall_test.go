@@ -7,41 +7,55 @@ import (
 	"testing"
 
 	"mellow/internal/policy"
+	"mellow/internal/scenario"
 	"mellow/internal/sched"
 	"mellow/internal/sim"
 )
 
-// TestRunAllProgressOnError: a failing simulation must still advance
-// the progress callback — previously the error path returned before
-// OnProgress, so a failed sweep's last reported fraction froze at an
-// arbitrary value.
+// TestRunAllProgressOnError: a failing cell of a multi-scenario plan
+// must still reach Done, once, under its global index — previously a
+// failed sweep's last reported progress froze at an arbitrary value.
+// Cell 1 cancels the run as it starts, so it fails and cancels whatever
+// has not finished yet.
 func TestRunAllProgressOnError(t *testing.T) {
 	ResetCache()
 	cfg := tinyConfig(301)
-	spec := policy.Norm()
-	jobs := []job{
-		{cfg: cfg, spec: spec, workload: "stream"},
-		{cfg: cfg, spec: spec, workload: "no-such-workload"}, // fails fast
-		{cfg: cfg, spec: spec, workload: "gups"},
+	plan := []*scenario.Scenario{
+		matrix("a", []string{"stream"}, policy.Norm()),
+		matrix("b", []string{"stream", "gups"}, policy.Norm()),
 	}
+	var want []scenario.Cell
+	for _, sc := range plan {
+		want = append(want, sc.Cells()...)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var mu sync.Mutex
-	var calls [][2]int
-	o := Options{Cfg: cfg, OnProgress: func(done, total int) {
-		mu.Lock()
-		calls = append(calls, [2]int{done, total})
-		mu.Unlock()
-	}}
-	_, err := runAll(o, jobs)
+	done := map[int]scenario.Cell{}
+	calls := 0
+	_, err := RunScenario(ctx, cfg, plan, CellHooks{
+		Start: func(i int, _ scenario.Cell) Observation {
+			if i == 1 {
+				cancel()
+			}
+			return Observation{}
+		},
+		Done: func(i int, c scenario.Cell, _ Instrumented, _ error) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls++
+			done[i] = c
+		},
+	})
 	if err == nil {
-		t.Fatal("sweep with an invalid workload succeeded")
+		t.Fatal("cancelled plan succeeded")
 	}
-	if len(calls) != len(jobs) {
-		t.Fatalf("OnProgress fired %d times, want %d (every attempt, failures included): %v",
-			len(calls), len(jobs), calls)
+	if calls != len(want) {
+		t.Fatalf("Done fired %d times, want %d (every attempt, failures included)", calls, len(want))
 	}
-	for i, c := range calls {
-		if c[0] != i+1 || c[1] != len(jobs) {
-			t.Fatalf("call %d reported %d/%d, want %d/%d", i, c[0], c[1], i+1, len(jobs))
+	for i, c := range want {
+		if done[i] != c {
+			t.Errorf("cell %d reached Done as %+v, want %+v", i, done[i], c)
 		}
 	}
 }
@@ -84,33 +98,42 @@ func TestBudgetBoundsConcurrentSims(t *testing.T) {
 }
 
 // TestExt3ObservedReportsEverySimulation: an observed experiment hands
-// a series to OnSeries for every simulation it runs, and its progress
-// reaches the total. ext3's ablation rows share one (policy, workload)
-// pair, so they must be slotted by job index, not keyed by that pair.
+// Done a series for every simulation it runs, and every cell of its
+// plan reaches Done. ext3's ablation rows share one (policy, workload)
+// pair, so each must land in its own scenario, not be keyed by that
+// pair.
 func TestExt3ObservedReportsEverySimulation(t *testing.T) {
 	ResetCache()
 	e, err := ByID("ext3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var series int
-	var last [2]int
-	o := Options{
-		Cfg:        tinyConfig(17),
-		Out:        io.Discard,
-		Workloads:  []string{"gups"},
-		Epoch:      sim.NS(5_000),
-		OnSeries:   func(SeriesRecord) { series++ },
-		OnProgress: func(done, total int) { last = [2]int{done, total} },
+	o := Options{Cfg: tinyConfig(17), Out: io.Discard, Workloads: []string{"gups"}}
+	total := 0
+	for _, sc := range e.Plan(o.Cfg, o.Workloads) {
+		total += len(sc.Cells())
 	}
-	if err := e.Run(o); err != nil {
+	var mu sync.Mutex
+	var series, done int
+	err = e.Run(o, CellHooks{
+		Start: func(int, scenario.Cell) Observation { return Observation{Epoch: sim.NS(5_000)} },
+		Done: func(_ int, _ scenario.Cell, in Instrumented, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			if err == nil && len(in.Series) > 0 {
+				series++
+			}
+		},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sims := int(CacheSnapshot().Misses)
 	if sims == 0 || series != sims {
-		t.Errorf("OnSeries fired %d times for %d simulations", series, sims)
+		t.Errorf("Done carried %d series for %d simulations", series, sims)
 	}
-	if last[0] == 0 || last[0] != last[1] {
-		t.Errorf("last progress = %d/%d, want done == total", last[0], last[1])
+	if done == 0 || done != total {
+		t.Errorf("Done fired %d times, want the plan's %d cells", done, total)
 	}
 }

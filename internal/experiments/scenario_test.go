@@ -27,6 +27,15 @@ func scenarioBase() config.Config {
 	return cfg
 }
 
+// runOne runs a single scenario through RunScenario.
+func runOne(ctx context.Context, base config.Config, sc *scenario.Scenario, hooks CellHooks) (*scenario.Result, error) {
+	res, err := RunScenario(ctx, base, []*scenario.Scenario{sc}, hooks)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // A scenario cell for a builtin workload must report exactly what Run
 // reports for the figure sweeps — one simulation path, one result.
 func TestRunScenarioMatchesRunCached(t *testing.T) {
@@ -37,7 +46,7 @@ func TestRunScenarioMatchesRunCached(t *testing.T) {
 		Workloads: []scenario.WorkloadRef{{Name: "gups"}},
 		Policies:  []string{"Norm", "BE-Mellow+SC"},
 	}
-	res, err := RunScenario(context.Background(), base, sc, CellHooks{})
+	res, err := runOne(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +175,7 @@ func TestRunScenarioLevelerCells(t *testing.T) {
 		Levelers:  []string{"", "startgap", "softwear"},
 		Overrides: &scenario.Overrides{Warmup: &warmup, Detailed: &detailed, SoftWearEpochWrites: &epoch},
 	}
-	res, err := RunScenario(context.Background(), base, sc, CellHooks{})
+	res, err := runOne(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +201,7 @@ func TestRunScenarioDeterministicBytes(t *testing.T) {
 		Policies:  []string{"Norm", "B-Mellow+SC"},
 	}
 	ResetCache()
-	r1, err := RunScenario(context.Background(), base, sc, CellHooks{})
+	r1, err := runOne(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +210,7 @@ func TestRunScenarioDeterministicBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetCache() // force full re-simulation
-	r2, err := RunScenario(context.Background(), base, sc, CellHooks{})
+	r2, err := runOne(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +236,14 @@ func TestRunScenarioProgressAndErrors(t *testing.T) {
 		Policies:  []string{"Norm", "Slow"},
 		Levelers:  []string{"", "softwear"},
 	}
-	plain, err := RunScenario(context.Background(), base, sc, CellHooks{})
+	plain, err := runOne(context.Background(), base, sc, CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
 	started := map[int]scenario.Cell{}
 	done := map[int]int{}
-	observed, err := RunScenario(context.Background(), base, sc, CellHooks{
+	observed, err := runOne(context.Background(), base, sc, CellHooks{
 		Start: func(i int, c scenario.Cell) Observation {
 			mu.Lock()
 			started[i] = c
@@ -274,14 +283,14 @@ func TestRunScenarioProgressAndErrors(t *testing.T) {
 
 	// Validation failures surface before any simulation.
 	bad := &scenario.Scenario{Name: "t", Workloads: []scenario.WorkloadRef{{Name: "nope"}}, Policies: []string{"Norm"}}
-	if _, err := RunScenario(context.Background(), base, bad, CellHooks{}); err == nil {
+	if _, err := runOne(context.Background(), base, bad, CellHooks{}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 	// A cancelled context aborts, and every cell still reaches Done.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	failed := 0
-	if _, err := RunScenario(ctx, base, sc, CellHooks{Done: func(_ int, _ scenario.Cell, _ Instrumented, err error) {
+	if _, err := runOne(ctx, base, sc, CellHooks{Done: func(_ int, _ scenario.Cell, _ Instrumented, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {

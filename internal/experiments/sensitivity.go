@@ -4,33 +4,37 @@ import (
 	"fmt"
 	"math"
 
+	"mellow/internal/config"
 	"mellow/internal/policy"
+	"mellow/internal/scenario"
 	"mellow/internal/stats"
 )
 
-// runFig17 regenerates Figure 17: geometric-mean lifetime of Slow+SC and
-// BE-Mellow+SC across the suite as the latency/endurance ExpoFactor
+// fig17Expos are the ExpoFactors Figure 17 sweeps.
+var fig17Expos = []float64{1.0, 1.5, 2.0, 2.5, 3.0}
+
+// planFig17 runs Norm, Slow+SC and BE-Mellow+SC over the suite once per
+// ExpoFactor.
+func planFig17(_ config.Config, workloads []string) []*scenario.Scenario {
+	var plan []*scenario.Scenario
+	for _, e := range fig17Expos {
+		sc := matrix("fig17", workloads, policy.Norm(), policy.Slow().WithSC(), policy.BEMellow().WithSC())
+		sc.Overrides = &scenario.Overrides{ExpoFactor: &e}
+		plan = append(plan, sc)
+	}
+	return plan
+}
+
+// renderFig17 regenerates Figure 17: geometric-mean lifetime of Slow+SC
+// and BE-Mellow+SC across the suite as the latency/endurance ExpoFactor
 // sweeps 1.0–3.0, with Norm as the (ExpoFactor-independent) reference.
-func runFig17(o Options) error {
-	expos := []float64{1.0, 1.5, 2.0, 2.5, 3.0}
-	specs := []policy.Spec{policy.Norm(), policy.Slow().WithSC(), policy.BEMellow().WithSC()}
+func renderFig17(o Options, sweep []*scenario.Result) error {
 	t := stats.Table{
 		Title:  "Figure 17: lifetime (geomean years) vs ExpoFactor",
 		Header: []string{"ExpoFactor", "Norm", "Slow+SC", "BE-Mellow+SC", "BE-Mellow+SC/Norm"},
 	}
-	for _, e := range expos {
-		cfg := o.Cfg
-		cfg.Memory.Device.ExpoFactor = e
-		var jobs []job
-		for _, w := range o.workloads() {
-			for _, s := range specs {
-				jobs = append(jobs, job{cfg: cfg, spec: s, workload: w})
-			}
-		}
-		res, err := runSweep(o, jobs)
-		if err != nil {
-			return err
-		}
+	for k, e := range fig17Expos {
+		res := keyed(sweep[k])
 		geo := func(name string) float64 {
 			var ys []float64
 			for _, w := range o.workloads() {
@@ -48,33 +52,34 @@ func runFig17(o Options) error {
 	return t.Fprint(o.Out)
 }
 
-// runFig18 regenerates Figure 18: GemsFDTD under 4, 8 and 16 banks —
+// fig18Banks are the bank counts Figure 18 sweeps.
+var fig18Banks = []int{16, 8, 4}
+
+// planFig18 runs GemsFDTD under Norm and BE-Mellow+SC once per bank
+// count.
+func planFig18(config.Config, []string) []*scenario.Scenario {
+	var plan []*scenario.Scenario
+	for _, banks := range fig18Banks {
+		sc := matrix("fig18", []string{"GemsFDTD"}, policy.Norm(), policy.BEMellow().WithSC())
+		sc.Overrides = &scenario.Overrides{Banks: &banks}
+		plan = append(plan, sc)
+	}
+	return plan
+}
+
+// renderFig18 regenerates Figure 18: GemsFDTD under 4, 8 and 16 banks —
 // (a) lifetime, (b) bank utilization, (c) eager writes, (d) writes
 // issued to banks by pulse.
-func runFig18(o Options) error {
-	const workload = "GemsFDTD"
-	specs := []policy.Spec{policy.Norm(), policy.BEMellow().WithSC()}
+func renderFig18(o Options, sweep []*scenario.Result) error {
 	t := stats.Table{
 		Title: "Figure 18: GemsFDTD vs bank-level parallelism",
 		Header: []string{"banks", "policy", "lifetime (y)", "bank util",
 			"eager writes", "normal writes", "slow writes", "cancelled"},
 	}
-	for _, banks := range []int{16, 8, 4} {
-		cfg, err := o.Cfg.WithBanks(banks)
-		if err != nil {
-			return err
-		}
-		var jobs []job
-		for _, s := range specs {
-			jobs = append(jobs, job{cfg: cfg, spec: s, workload: workload})
-		}
-		res, err := runSweep(o, jobs)
-		if err != nil {
-			return err
-		}
-		for _, s := range specs {
-			r := res[[2]string{s.Name, workload}]
-			t.AddRow(fmt.Sprintf("%d", banks), s.Name,
+	for k, banks := range fig18Banks {
+		for _, c := range sweep[k].Cells {
+			r := c.Result
+			t.AddRow(fmt.Sprintf("%d", banks), c.Policy,
 				formatYears(r.LifetimeYears()),
 				stats.Pct(r.Mem.AvgUtilization),
 				fmt.Sprintf("%d", r.Mem.EagerDone),
@@ -89,31 +94,24 @@ func runFig18(o Options) error {
 // fig19Statics is the static-mechanism grid Figure 19 compares against:
 // every write latency, plain / cancellable / eager+cancellable.
 func fig19Statics() []policy.Spec {
-	var specs []policy.Spec
-	for _, s := range fig2Specs() {
-		specs = append(specs, s)
-	}
 	// Eager variants of the static policies.
-	specs = append(specs, policy.ENorm().WithNC(), policy.ESlow().WithSC())
-	return specs
+	return append(fig2Specs(), policy.ENorm().WithNC(), policy.ESlow().WithSC())
 }
 
-// runFig19 regenerates Figure 19: for each workload, find the best
+// fig19Ours is the policy Figure 19 pits against the statics.
+func fig19Ours() policy.Spec { return policy.BEMellow().WithSC().WithWQ() }
+
+// planFig19 runs the static grid and BE-Mellow+SC+WQ over the suite;
+// the grid already holds the Norm baseline.
+func planFig19(_ config.Config, workloads []string) []*scenario.Scenario {
+	return []*scenario.Scenario{matrix("fig19", workloads, append(fig19Statics(), fig19Ours())...)}
+}
+
+// renderFig19 regenerates Figure 19: for each workload, find the best
 // static mechanism that guarantees the 8-year lifetime and compare it
 // with BE-Mellow+SC+WQ.
-func runFig19(o Options) error {
-	statics := fig19Statics()
-	ours := policy.BEMellow().WithSC().WithWQ()
-	var jobs []job
-	for _, w := range o.workloads() {
-		for _, s := range append(statics, ours, policy.Norm()) {
-			jobs = append(jobs, job{cfg: o.Cfg, spec: s, workload: w})
-		}
-	}
-	res, err := runSweep(o, jobs)
-	if err != nil {
-		return err
-	}
+func renderFig19(o Options, sweep []*scenario.Result) error {
+	statics, ours, res := fig19Statics(), fig19Ours(), keyed(sweep[0])
 	const floor = 8.0
 	t := stats.Table{
 		Title: "Figure 19: BE-Mellow+SC+WQ vs best static mechanism " +

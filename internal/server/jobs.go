@@ -3,10 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"math"
-	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -111,14 +108,6 @@ func (p *jobProgress) keepLast(s *engine.EpochSample) {
 	}
 }
 
-// set records sweep progress reported by the experiments layer.
-func (p *jobProgress) set(done, total int) {
-	p.setTotal(total)
-	if done >= 0 {
-		p.doneSims.Store(uint64(done))
-	}
-}
-
 // finish pins the fraction at 1 (job completed successfully).
 func (p *jobProgress) finish() { p.clamp(1) }
 
@@ -191,35 +180,11 @@ func (j *jobState) status(deduped bool) JobStatus {
 	return st
 }
 
-// sortSeriesRecords puts sweep series in a canonical order: OnSeries
-// delivers them in completion order, which is nondeterministic, but
-// result bytes must be equal for equal keys. Records are keyed by
-// (workload, policy) and — since one experiment can run the same pair
-// under several configs — tie-broken by their full JSON encoding, so
-// any remaining ties are byte-identical and order-irrelevant.
-func sortSeriesRecords(records []experiments.SeriesRecord) {
-	type keyed struct {
-		key string
-		rec experiments.SeriesRecord
-	}
-	ks := make([]keyed, len(records))
-	for i, r := range records {
-		b, err := json.Marshal(r)
-		if err != nil {
-			b = []byte(r.Workload + "/" + r.Policy)
-		}
-		ks[i] = keyed{key: r.Workload + "\x00" + r.Policy + "\x00" + string(b), rec: r}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	for i, k := range ks {
-		records[i] = k.rec
-	}
-}
-
 // runJob executes one job's simulations through the memoised harness,
 // so identical sub-simulations across different jobs run once. Every
-// matrix kind — sim, compare and scenario — runs as a scenario through
-// runMatrix; experiment jobs render a paper artifact.
+// job kind runs its scenarios through runMatrix: a scenario job its
+// document, an experiment job its artifact's plan, which the artifact
+// then renders.
 //
 // A sim or compare job becomes, at run time, the scenario named after
 // its kind whose builtin workloads and policies are the canonical job's
@@ -229,84 +194,66 @@ func sortSeriesRecords(records []experiments.SeriesRecord) {
 func runJob(ctx context.Context, js *jobState) (*JobResult, error) {
 	canon := js.canon
 	out := &JobResult{Key: js.key, Kind: canon.Kind}
-	switch canon.Kind {
-	case KindSim, KindCompare, KindScenario:
-		sc := canon.Scenario
-		if sc == nil {
-			sc = &scenario.Scenario{Name: canon.Kind, Policies: canon.Policies}
-			for _, w := range canon.Workloads {
-				sc.Workloads = append(sc.Workloads, scenario.WorkloadRef{Name: w})
-			}
-		}
-		res, err := runMatrix(ctx, js, sc, out)
-		if err != nil {
-			return nil, err
-		}
-		if canon.Kind == KindScenario {
-			out.Scenario = res
-			break
-		}
-		renderStart := time.Now()
-		out.Results = make([]core.Result, len(res.Cells))
-		for i, c := range res.Cells {
-			out.Results[i] = c.Result
-		}
-		js.spans.Span("render", "job", renderStart, time.Now())
-	case KindExperiment:
+	if canon.Kind == KindExperiment {
 		e, err := experiments.ByID(canon.Experiment)
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		var records []experiments.SeriesRecord
-		opts := experiments.Options{
-			Ctx:        ctx,
-			Cfg:        canon.Config,
-			Out:        &buf,
-			Workloads:  canon.Workloads,
-			OnProgress: js.progress.set,
-		}
-		if canon.IntervalNS > 0 {
-			opts.Epoch = sim.NS(canon.IntervalNS)
-			// Experiments deliver whole series as each simulation
-			// completes (OnSeries is serialized by the experiments layer),
-			// so the stream carries each (workload, policy) series as one
-			// contiguous run of epoch events with cell -1.
-			opts.OnSeries = func(rec experiments.SeriesRecord) {
-				records = append(records, rec)
-				js.stream.flushSeries(-1, rec, 0)
-			}
-		}
-		if canon.Trace {
-			opts.Trace = true
-			opts.OnTrace = func(rec experiments.TraceRecord) {
-				js.traces = append(js.traces, rec.Trace)
-			}
-		}
-		if err := e.Run(opts); err != nil {
+		res, err := runMatrix(ctx, js, e.Plan(canon.Config, canon.Workloads), out)
+		if err != nil {
 			return nil, err
 		}
 		renderStart := time.Now()
-		sortSeriesRecords(records)
-		out.Report = &ExperimentReport{ID: e.ID, Title: e.Title, Output: buf.String(), Series: records}
+		var buf bytes.Buffer
+		o := experiments.Options{Ctx: ctx, Cfg: canon.Config, Out: &buf, Workloads: canon.Workloads}
+		if err := e.Render(o, res); err != nil {
+			return nil, err
+		}
+		out.Report = &ExperimentReport{ID: e.ID, Title: e.Title, Output: buf.String(), Series: out.Series}
+		out.Series = nil
 		js.spans.Span("render", "job", renderStart, time.Now())
+		return out, nil
 	}
+	sc := canon.Scenario
+	if sc == nil {
+		sc = &scenario.Scenario{Name: canon.Kind, Policies: canon.Policies}
+		for _, w := range canon.Workloads {
+			sc.Workloads = append(sc.Workloads, scenario.WorkloadRef{Name: w})
+		}
+	}
+	res, err := runMatrix(ctx, js, []*scenario.Scenario{sc}, out)
+	if err != nil {
+		return nil, err
+	}
+	if canon.Kind == KindScenario {
+		out.Scenario = res[0]
+		return out, nil
+	}
+	renderStart := time.Now()
+	out.Results = make([]core.Result, len(res[0].Cells))
+	for i, c := range res[0].Cells {
+		out.Results[i] = c.Result
+	}
+	js.spans.Span("render", "job", renderStart, time.Now())
 	return out, nil
 }
 
-// runMatrix runs a job's scenario through experiments.RunScenario and
+// runMatrix runs a job's scenarios through experiments.RunScenario and
 // observes each cell the way the job asked: its tracker feeds the
 // status API, its epochs feed the SSE stream, its wall time becomes a
 // span, and its series, metrics snapshot and timeline land in out and
-// js.traces at the cell's index — the same order as the scenario
-// document's cells, however the cells finish. Every cell retires
-// through endSim, failed and cancelled ones too, and a failed job keeps
-// the timelines of the cells that finished. The result document is the
-// same bytes with or without observers.
-func runMatrix(ctx context.Context, js *jobState, sc *scenario.Scenario, out *JobResult) (*scenario.Result, error) {
+// js.traces at the cell's global index — the scenarios' cells in order,
+// however the cells finish. Every cell retires through endSim, failed
+// and cancelled ones too, and a failed job keeps the timelines of the
+// cells that finished. The result documents are the same bytes with or
+// without observers.
+func runMatrix(ctx context.Context, js *jobState, scs []*scenario.Scenario, out *JobResult) ([]*scenario.Result, error) {
 	canon := js.canon
 	epoch := sim.NS(canon.IntervalNS)
-	n := len(sc.Cells())
+	n := 0
+	for _, sc := range scs {
+		n += len(sc.Cells())
+	}
 	js.progress.setTotal(n)
 	type cellObs struct {
 		tr       *engine.Tracker
@@ -329,7 +276,7 @@ func runMatrix(ctx context.Context, js *jobState, sc *scenario.Scenario, out *Jo
 	label := func(c scenario.Cell) experiments.SeriesRecord {
 		return experiments.SeriesRecord{Workload: c.Workload.Name, Leveler: c.Leveler, Policy: c.Policy}
 	}
-	res, err := experiments.RunScenario(ctx, canon.Config, sc, experiments.CellHooks{
+	res, err := experiments.RunScenario(ctx, canon.Config, scs, experiments.CellHooks{
 		Start: func(i int, c scenario.Cell) experiments.Observation {
 			ob := experiments.Observation{Epoch: epoch, Metrics: canon.Metrics, Trace: canon.Trace}
 			if epoch > 0 {

@@ -37,11 +37,11 @@ type StreamEvent struct {
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
 	// Cell is the matrix cell index the sample belongs to — the index
-	// into the result's Series slice, in the job's scenario cell order
-	// (workload-major, then leveler, then policy; for sim and compare
-	// jobs also the index into Results). It is -1 on non-epoch events
-	// and on experiment-kind jobs, which stream whole per-simulation
-	// series as each completes: group by (workload, policy) instead.
+	// into the result's Series slice (the report's, for experiment
+	// jobs), in the job's scenario cell order: scenario by scenario,
+	// each workload-major, then leveler, then policy; for sim and
+	// compare jobs also the index into Results. It is -1 on non-epoch
+	// events.
 	Cell     int    `json:"cell"`
 	Workload string `json:"workload,omitempty"`
 	// Leveler is set on scenario cells that name a wear-leveling

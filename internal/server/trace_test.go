@@ -55,14 +55,14 @@ func TestJobTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, BaseConfig: tinyBase(17)})
 
 	for _, tc := range []struct {
-		name, plain, traced, span string
-		cells                     int
+		name, plain, traced, span, process string
+		cells                              int
 	}{
 		{"sim", `{"kind":"sim","workload":"gups","policy":"BE-Mellow+SC+WQ"}`,
 			`{"kind":"sim","workload":"gups","policy":"BE-Mellow+SC+WQ","trace":true}`,
-			"sim gups/BE-Mellow+SC+WQ", 1},
+			"sim gups/BE-Mellow+SC+WQ", "sim gups/BE-Mellow+SC+WQ startgap", 1},
 		{"scenario", observedScenario(""), observedScenario(`,"trace":true`),
-			"sim stream/BE-Mellow+SC softwear", 4},
+			"sim stream/BE-Mellow+SC softwear", "sim stream/BE-Mellow+SC softwear", 4},
 	} {
 		plain, code := postJob(t, ts, tc.plain)
 		if code != http.StatusAccepted {
@@ -109,6 +109,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 			t.Fatalf("%s: bad trace header: unit %q, id %q", tc.name, doc.DisplayTimeUnit, doc.OtherData.TraceID)
 		}
 		spanNames, phaseKinds, timelines := map[string]bool{}, map[string]int{}, 0
+		processes := map[string]bool{}
 		for _, e := range doc.TraceEvents {
 			phaseKinds[e.Ph]++
 			if e.Ph == "b" {
@@ -116,6 +117,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 			}
 			if e.Ph == "M" && e.Name == "process_name" && strings.HasPrefix(e.Args.Name, "sim ") {
 				timelines++
+				processes[e.Args.Name] = true
 			}
 		}
 		if !spanNames["queued"] || !spanNames[tc.span] {
@@ -126,6 +128,12 @@ func TestJobTraceEndpoint(t *testing.T) {
 		}
 		if timelines != tc.cells {
 			t.Errorf("%s: trace has %d simulation timelines, want one per cell (%d)", tc.name, timelines, tc.cells)
+		}
+		// Timeline names carry the leveler, so cells that differ only by
+		// leveler stay distinguishable.
+		if len(processes) != tc.cells || !processes[tc.process] {
+			t.Errorf("%s: simulation process names %v, want %d distinct including %q",
+				tc.name, processes, tc.cells, tc.process)
 		}
 
 		// The untraced job has no trace artifact.

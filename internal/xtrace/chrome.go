@@ -136,7 +136,11 @@ func (d *Doc) WriteChrome(w io.Writer) error {
 			continue
 		}
 		pid := simPID0 + i
-		cw.meta("process_name", pid, 0, fmt.Sprintf("sim %s/%s", st.Workload, st.Policy))
+		name := fmt.Sprintf("sim %s/%s", st.Workload, st.Policy)
+		if st.Leveler != "" {
+			name += " " + st.Leveler
+		}
+		cw.meta("process_name", pid, 0, name)
 		cw.meta("thread_name", pid, int(TrackPhase), "phase")
 		cw.meta("thread_name", pid, int(TrackEpoch), "epochs")
 		cw.meta("thread_name", pid, int(TrackController), "controller")

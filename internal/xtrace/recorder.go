@@ -160,16 +160,19 @@ func (r *Recorder) Len() int {
 type SimTrace struct {
 	Workload string
 	Policy   string
-	Banks    int
-	Dropped  uint64
-	Events   []Event
+	// Leveler is the run's wear-leveling backend, so timelines that
+	// differ only by leveler stay distinguishable.
+	Leveler string
+	Banks   int
+	Dropped uint64
+	Events  []Event
 }
 
 // Finalize stops the recorder and returns its timeline, oldest event
 // first, labelled with the run's identity. The recorder retires from
 // the active count; further recording is ignored. Finalize on a nil or
 // already-finalized recorder returns nil.
-func (r *Recorder) Finalize(workload, policy string, banks int) *SimTrace {
+func (r *Recorder) Finalize(workload, policy, leveler string, banks int) *SimTrace {
 	if r == nil || r.finalized {
 		return nil
 	}
@@ -182,6 +185,7 @@ func (r *Recorder) Finalize(workload, policy string, banks int) *SimTrace {
 	return &SimTrace{
 		Workload: workload,
 		Policy:   policy,
+		Leveler:  leveler,
 		Banks:    banks,
 		Dropped:  r.dropped,
 		Events:   events,

@@ -17,7 +17,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	r.Instant(TrackPhase, "x", "c", 0, 0, 0)
 	r.Counter(TrackPhase, "x", "c", 0, 1)
 	r.Discard()
-	if r.Len() != 0 || r.Dropped() != 0 || r.Finalize("w", "p", 1) != nil {
+	if r.Len() != 0 || r.Dropped() != 0 || r.Finalize("w", "p", "", 1) != nil {
 		t.Fatal("nil Recorder not inert")
 	}
 
@@ -43,7 +43,7 @@ func TestRecorderRingKeepsNewest(t *testing.T) {
 	if r.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", r.Dropped())
 	}
-	st := r.Finalize("w", "p", 2)
+	st := r.Finalize("w", "p", "", 2)
 	if got := ActiveCount(); got != base {
 		t.Fatalf("active count after finalize = %d, want %d", got, base)
 	}
@@ -62,7 +62,7 @@ func TestRecorderRingKeepsNewest(t *testing.T) {
 	}
 	// Finalize is terminal: a second call is nil and late hooks are
 	// ignored rather than recorded.
-	if r.Finalize("w", "p", 2) != nil {
+	if r.Finalize("w", "p", "", 2) != nil {
 		t.Fatal("double finalize returned a trace")
 	}
 	r.Slice(TrackController, "late", "c", 0, 0, 0, 0)
@@ -79,7 +79,7 @@ func TestRecorderDiscard(t *testing.T) {
 	if got := ActiveCount(); got != base {
 		t.Fatalf("active count after discard = %d, want %d", got, base)
 	}
-	if r.Finalize("w", "p", 1) != nil {
+	if r.Finalize("w", "p", "", 1) != nil {
 		t.Fatal("finalize after discard returned a trace")
 	}
 	r.Discard() // idempotent
@@ -89,7 +89,7 @@ func TestSliceClampsReversedBounds(t *testing.T) {
 	r := NewRecorder(8)
 	defer r.Discard()
 	r.Slice(TrackPhase, "e", "c", 10, 5, 0, 0)
-	tr := r.Finalize("w", "p", 1)
+	tr := r.Finalize("w", "p", "", 1)
 	if tr.Events[0].End != tr.Events[0].Start {
 		t.Fatalf("end %d not clamped to start %d", tr.Events[0].End, tr.Events[0].Start)
 	}
@@ -184,7 +184,7 @@ func TestWriteChrome(t *testing.T) {
 	rec.Slice(BankTrack(0), "fast write", "write", 2000, 4000, 0xbeef, 1)
 	rec.Instant(TrackController, "drain start", "drain", 3000, 0, 9)
 	rec.Counter(TrackEpoch, "depth", "queue", 4000, 7)
-	st := rec.Finalize("gups", "Norm", 2)
+	st := rec.Finalize("gups", "Norm", "startgap", 2)
 
 	t0 := time.Unix(100, 0)
 	sr := NewSpanRecorder("feedface00000000")
@@ -253,7 +253,7 @@ func TestWriteChrome(t *testing.T) {
 	}
 	// Track metadata names the sim process and its bank threads.
 	out := buf.String()
-	for _, want := range []string{"sim gups/Norm", "bank 00", "bank 01", "controller", "mellowd service"} {
+	for _, want := range []string{"sim gups/Norm startgap", "bank 00", "bank 01", "controller", "mellowd service"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("export missing %q", want)
 		}
@@ -279,7 +279,7 @@ func TestWriteChromeOverflowMarker(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rec.Instant(BankTrack(0), "e", "c", sim.Tick(i), 0, 0)
 	}
-	st := rec.Finalize("w", "p", 1)
+	st := rec.Finalize("w", "p", "", 1)
 	var buf bytes.Buffer
 	if err := (&Doc{Sims: []*SimTrace{st}}).WriteChrome(&buf); err != nil {
 		t.Fatal(err)

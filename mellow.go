@@ -82,9 +82,6 @@ const DefaultEpoch = engine.DefaultEpoch
 // SeriesRecord labels one simulation's epoch series for export.
 type SeriesRecord = experiments.SeriesRecord
 
-// TraceRecord labels one simulation's execution timeline for export.
-type TraceRecord = experiments.TraceRecord
-
 // SimTrace is one finalized simulation execution timeline: engine
 // phases, epochs and per-bank controller events in kernel ticks.
 type SimTrace = xtrace.SimTrace
@@ -183,14 +180,19 @@ func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id)
 // ExperimentOptions configure an experiment run.
 type ExperimentOptions = experiments.Options
 
+// CellHooks observes the cells of an experiment's or scenario's matrix
+// as they run; the zero value observes nothing.
+type CellHooks = experiments.CellHooks
+
 // RunExperiment executes one experiment, writing its tables to out. For
-// cancellation, run ExperimentByID(id) with ExperimentOptions{Ctx: ...}.
+// cancellation, run ExperimentByID(id) with ExperimentOptions{Ctx: ...}
+// and zero CellHooks.
 func RunExperiment(id string, cfg Config, out io.Writer, workloads ...string) error {
 	e, err := experiments.ByID(id)
 	if err != nil {
 		return err
 	}
-	return e.Run(experiments.Options{Cfg: cfg, Out: out, Workloads: workloads})
+	return e.Run(experiments.Options{Cfg: cfg, Out: out, Workloads: workloads}, CellHooks{})
 }
 
 // WorkloadSpec is the declarative form of a workload generator: the
@@ -213,5 +215,9 @@ func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
 // RunScenario executes a scenario against the base configuration,
 // fanning its matrix out through the memoised simulation path.
 func RunScenario(ctx context.Context, base Config, sc *Scenario) (*ScenarioResult, error) {
-	return experiments.RunScenario(ctx, base, sc, experiments.CellHooks{})
+	res, err := experiments.RunScenario(ctx, base, []*Scenario{sc}, CellHooks{})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }

@@ -8,8 +8,8 @@
 # Then the durability path: a job admitted to a write-ahead job log,
 # the daemon killed -9 mid-run, and a restarted daemon replaying the
 # log to a byte-identical result; plus batch submission, the SSE event
-# stream (curl -N and mellowbench -follow), and log compaction on a
-# clean SIGTERM drain.
+# stream (curl -N and mellowbench -follow), scenario and experiment jobs
+# observed and traced, and log compaction on a clean SIGTERM drain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -219,6 +219,38 @@ run_key() { embedded "$1" | sed -n 's/^{"scenario":"[^"]*","key":"\([0-9a-f]\{64
 }
 cmp <(embedded /tmp/mellow_e2e_scenario.json) <(embedded /tmp/mellow_e2e_scenario_observed.json) || {
   echo "observed scenario document differs from the unobserved job's" >&2
+  exit 1
+}
+
+# ---- experiment jobs: a paper artifact's scenario plan, same path ----
+# fig18 plans three bank counts x two policies. Observed and traced, its
+# event stream labels every epoch with one of its six cells and ends in
+# done, its trace holds one timeline per cell, and its rendered report
+# is the unobserved job's, byte for byte.
+BODY='{"kind":"experiment","experiment":"fig18","warmup":0,"detailed":300000}'
+run_job >/tmp/mellow_e2e_experiment.json
+BODY='{"kind":"experiment","experiment":"fig18","warmup":0,"detailed":300000,"interval_ns":20000,"trace":true}'
+run_job >/tmp/mellow_e2e_experiment_observed.json
+curl -fsSN --max-time 60 "$BASE/v1/jobs/$JOB_ID/events" >/tmp/mellow_e2e_experiment_events.txt
+tail -n 4 /tmp/mellow_e2e_experiment_events.txt | grep -q '^event: done$' || {
+  echo "experiment event stream did not terminate with done" >&2
+  exit 1
+}
+cells=$(grep '^data: .*"type":"epoch"' /tmp/mellow_e2e_experiment_events.txt |
+  grep -o '"cell":-\?[0-9]*' | sort -u | tr '\n' ' ')
+[ "$cells" = '"cell":0 "cell":1 "cell":2 "cell":3 "cell":4 "cell":5 ' ] || {
+  echo "experiment epochs carry cells [$cells], want 0 through 5" >&2
+  exit 1
+}
+curl -fsS "$BASE/v1/jobs/$JOB_ID/trace" >/tmp/mellow_e2e_experiment_trace.json
+go run ./scripts/tracecheck /tmp/mellow_e2e_experiment_trace.json
+sims=$(grep -o '"name":"process_name","ph":"M","ts":0,"pid":[0-9]*,"tid":0,"args":{"name":"sim ' \
+  /tmp/mellow_e2e_experiment_trace.json | wc -l)
+[ "$sims" -eq 6 ] || { echo "experiment trace has $sims sim processes, want 6" >&2; exit 1; }
+output() { grep -o '"output":"[^"]*"' "$1"; }
+[ -n "$(output /tmp/mellow_e2e_experiment.json)" ] &&
+  cmp <(output /tmp/mellow_e2e_experiment.json) <(output /tmp/mellow_e2e_experiment_observed.json) || {
+  echo "observed experiment report differs from the unobserved job's" >&2
   exit 1
 }
 
